@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .dg import DgSpec, InternalConsistencyError
-from .linalg import Mat, Q, _int_rows, frac, int_rank, kernel_basis, solve_linear
+from .linalg import Mat, Q, _int_rows, int_rank, kernel_basis, solve_linear
 from .qpl import QplMatrix, chi
 
 RANK3 = "Rank3"
@@ -88,7 +88,8 @@ def _classify_rank2(m: Mat, q_shift=None) -> CaseLabel:
         c = sol[0]
         q = tuple(qi - c * ti for qi, ti in zip(q, t))
         qt = _vec_mul(q, t)
-        assert all(x == 0 for x in qt)
+        if any(x != 0 for x in qt):
+            raise InternalConsistencyError("q*t survives the shift by a multiple of t^2")
         data["q"] = q
         q2 = _vec_sq(q)
         if not spec.in_coboundaries(q2):
@@ -322,6 +323,15 @@ def _three_gen_presentation(c1, c2):
     return GradedPresentation(gens, rels)
 
 
+def degenerate_presentation() -> GradedPresentation:
+    """z of degree 1 and a central w of degree 2 with z^2 = 0: the cohomology
+    of the degenerate rank-2 branch and of two n = 2 families."""
+    return GradedPresentation(
+        [("z", 1), ("w", 2)],
+        [[(Q(1), (0, 0))], [(Q(1), (0, 1)), (Q(-1), (1, 0))]],
+    )
+
+
 def presentation_of(label: CaseLabel) -> GradedPresentation:
     """The cohomology presentation predicted for a classified matrix."""
     if label.branch == RANK3:
@@ -329,10 +339,7 @@ def presentation_of(label: CaseLabel) -> GradedPresentation:
     if label.branch == RANK2_NONDEG:
         return GradedPresentation([("z", 1)], [])
     if label.branch == RANK2_DEGENERATE:
-        return GradedPresentation(
-            [("z", 1), ("w", 2)],
-            [[(Q(1), (0, 0))], [(Q(1), (0, 1)), (Q(-1), (1, 0))]],
-        )
+        return degenerate_presentation()
     if label.branch == RANK1:
         case = label.coh_case
         m11, m12, m13, l1, l2 = label.params
@@ -397,6 +404,6 @@ def presented_dims(pres: GradedPresentation, dmax: int) -> list[int]:
                             row[index[left + w + right]] += coeff
                         if any(row):
                             rows.append(row)
-        rank = int_rank(_int_rows([[frac(x) for x in row] for row in rows])) if rows else 0
+        rank = int_rank(_int_rows(rows)) if rows else 0
         dims.append(len(words) - rank)
     return dims

@@ -12,12 +12,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .linalg import Mat, Q, kernel_basis, rank_of_columns, rref, solve_linear
-from .skew import SkewElement, coefficient_vector, element_from_vector, graded_basis
-
-
-class InternalConsistencyError(RuntimeError):
-    """A mathematically impossible configuration was produced: an
-    implementation bug, reported loudly rather than patched over."""
+from .skew import (
+    InternalConsistencyError,
+    SkewElement,
+    coefficient_vector,
+    element_from_vector,
+    graded_basis,
+)
 
 
 class DgSpec:

@@ -26,7 +26,7 @@ class FinAlg:
 
     __slots__ = ("dim", "unit", "structure")
 
-    def __init__(self, dim: int, unit: Sequence, structure, validate: bool = True):
+    def __init__(self, dim: int, unit: Sequence, structure):
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "unit", tuple(frac(x) for x in unit))
         table = tuple(
@@ -34,8 +34,7 @@ class FinAlg:
             for i in range(dim)
         )
         object.__setattr__(self, "structure", table)
-        if validate:
-            self._validate()
+        self._validate()
 
     def __setattr__(self, name, value):
         raise AttributeError("FinAlg is immutable")
@@ -204,11 +203,6 @@ def _span_basis(vectors) -> list[tuple]:
         return []
     _, _, pivots = rref(Mat.from_columns(vecs))
     return [vecs[p] for p in pivots]
-
-
-def make_algebra(dim: int, unit: Sequence, structure) -> FinAlg:
-    """Validated constructor; raises AlgebraError with the violating triple."""
-    return FinAlg(dim, unit, structure, validate=True)
 
 
 def sklyanin_e(lam, mu, nu) -> FinAlg:

@@ -9,7 +9,7 @@ freely.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 Q = Fraction
@@ -112,34 +112,20 @@ class Mat:
         vec = [frac(x) for x in vector]
         return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.data)
 
-    def hadamard_square(self) -> "Mat":
-        """Entrywise square (used by the quasi-permutation action)."""
-        return Mat([[x * x for x in row] for row in self.data])
-
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.data for x in row)
 
     def det(self) -> Fraction:
         if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
-        # Fraction Gaussian elimination; sizes here are tiny.
-        n = self.rows
-        a = [list(row) for row in self.data]
-        det = Q(1)
-        for k in range(n):
-            piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-            if piv is None:
-                return Q(0)
-            if piv != k:
-                a[k], a[piv] = a[piv], a[k]
-                det = -det
-            det *= a[k][k]
-            inv = 1 / a[k][k]
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    f = a[i][k] * inv
-                    a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-        return det
+        echelon, pivots, (num, den) = _echelon(_int_rows(self.data))
+        if len(pivots) < self.rows:
+            return Q(0)
+        for row, p in zip(echelon, pivots):
+            num *= row[p]
+        for row in self.data:
+            den *= lcm(*(x.denominator for x in row))
+        return Q(num, den)
 
     def inverse(self) -> "Mat":
         if self.rows != self.cols:
@@ -147,51 +133,120 @@ class Mat:
         n = self.rows
         aug = Mat([list(self.data[i]) + [1 if i == j else 0 for j in range(n)] for i in range(n)])
         red, rank, pivots = rref(aug)
-        if rank < n or any(p >= n for p in pivots[:n]) or pivots[:n] != list(range(n)):
+        if pivots[:n] != list(range(n)):
             raise ValueError("matrix is singular")
         return Mat([row[n:] for row in red.data])
 
     def rank(self) -> int:
         return int_rank(_int_rows(self.data))
 
-    def stack_columns(self, other: "Mat") -> "Mat":
-        if self.rows != other.rows:
-            raise ValueError("dimension mismatch")
-        return Mat([list(r1) + list(r2) for r1, r2 in zip(self.data, other.data)])
+
+# ---------------------------------------------------------------------------
+# The elimination core.  Rows are cleared of denominators and reduced by
+# fraction-free integer elimination; rank, rref (and through it kernels,
+# solutions and inverses) and det all read off the same echelon.
+# ---------------------------------------------------------------------------
+
+
+def _int_rows(data) -> list[list[int]]:
+    """Each row times the lcm of its denominators: same row space, integers."""
+    rows = []
+    for row in data:
+        denom = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (denom // x.denominator) for x in row])
+    return rows
+
+
+def _echelon(rows: list[list[int]]):
+    """Row echelon form of an integer matrix by fraction-free elimination.
+
+    Returns (echelon, pivots, (num, den)): the nonzero echelon rows, their
+    pivot columns in increasing order, and a factor such that a square input
+    of full rank has determinant num/den times the product of the pivots.
+
+    Each step takes a pivot of least magnitude.  Rows with a zero in the
+    pivot column are left alone, which matters for the sparse boundary
+    matrices of the complex machinery; every updated row is divided by its
+    content to keep entries small, and zero rows are dropped.
+    """
+    work = [row[:] for row in rows if any(row)]
+    if not work:
+        return [], [], (1, 1)
+    ncols = len(work[0])
+    pivots = []
+    num = den = 1
+    rank = 0
+    col = 0
+    while col < ncols and rank < len(work):
+        piv = None
+        best = None
+        for i in range(rank, len(work)):
+            x = work[i][col]
+            if x != 0 and (best is None or abs(x) < best):
+                piv, best = i, abs(x)
+                if best == 1:
+                    break
+        if piv is None:
+            col += 1
+            continue
+        if piv != rank:
+            work[rank], work[piv] = work[piv], work[rank]
+            num = -num
+        prow = work[rank]
+        pval = prow[col]
+        zeroed = False
+        for i in range(rank + 1, len(work)):
+            x = work[i][col]
+            if x == 0:
+                continue
+            row = work[i]
+            new = [pval * a - x * b for a, b in zip(row, prow)]
+            g = 0
+            for t in new:
+                if t:
+                    g = gcd(g, t)
+                    if g == 1:
+                        break
+            if g == 0:
+                zeroed = True
+            elif g > 1:
+                new = [t // g for t in new]
+                num *= g
+            den *= pval
+            work[i] = new
+        if zeroed:  # only an updated row can have become zero
+            work = [row for row in work if any(row)]
+        pivots.append(col)
+        rank += 1
+        col += 1
+    return work, pivots, (num, den)
+
+
+def int_rank(rows: list[list[int]]) -> int:
+    """Rank of an integer matrix."""
+    return len(_echelon(rows)[1])
 
 
 def rref(a: Mat) -> tuple[Mat, int, list[int]]:
-    """Reduced row echelon form.
+    """Reduced row echelon form: (reduced, rank, pivot_columns).
 
-    Returns (reduced, rank, pivot_columns).  Pivot selection takes the row
-    whose candidate entry has the largest |numerator| (ties to the smallest
-    row index); the result is the unique RREF regardless.
+    Integer back-substitution on the echelon clears each pivot column above
+    its pivot; one division per entry then makes the pivots 1.
     """
-    m = [list(row) for row in a.data]
-    nrows, ncols = a.rows, a.cols
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        best, best_key = None, None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                key = abs(m[i][c].numerator)
-                if best is None or key > best_key:
-                    best, best_key = i, key
-        if best is None:
-            continue
-        m[r], m[best] = m[best], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return Mat(m), len(pivots), pivots
+    rows, pivots, _ = _echelon(_int_rows(a.data))
+    for k in range(len(pivots) - 1, 0, -1):
+        prow, p = rows[k], pivots[k]
+        pval = prow[p]
+        for i in range(k):
+            x = rows[i][p]
+            if x == 0:
+                continue
+            new = [pval * s - x * t for s, t in zip(rows[i], prow)]
+            g = gcd(*new)
+            rows[i] = [t // g for t in new]
+    red = [[Q(x, row[p]) for x in row] for row, p in zip(rows, pivots)]
+    red += [[0] * a.cols] * (a.rows - len(pivots))
+    return Mat(red), len(pivots), pivots
 
 
 def kernel_basis(a: Mat) -> list[tuple]:
@@ -243,71 +298,6 @@ def in_span(vectors: Sequence[Sequence], v: Sequence) -> bool:
     return particular is not None
 
 
-# ---------------------------------------------------------------------------
-# Integer fast paths.  Still exact; used where only ranks or integer kernels
-# are needed and the matrices get larger (complex verification, lattices).
-# ---------------------------------------------------------------------------
-
-
-def _int_rows(data) -> list[list[int]]:
-    rows = []
-    for row in data:
-        denom = 1
-        for x in row:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        rows.append([int(x * denom) for x in row])
-    return rows
-
-
-def int_rank(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix by fraction-free elimination.
-
-    Rows are reduced by their gcd after each update to keep entries small.
-    Zero entries are skipped, which matters for the sparse boundary
-    matrices produced by the complex machinery.
-    """
-    work = [row[:] for row in rows if any(row)]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rank = 0
-    col = 0
-    while col < ncols and rank < len(work):
-        piv = None
-        best = None
-        for i in range(rank, len(work)):
-            x = work[i][col]
-            if x != 0 and (best is None or abs(x) < best):
-                piv, best = i, abs(x)
-                if best == 1:
-                    break
-        if piv is None:
-            col += 1
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        prow = work[rank]
-        pval = prow[col]
-        for i in range(rank + 1, len(work)):
-            x = work[i][col]
-            if x == 0:
-                continue
-            row = work[i]
-            new = [pval * a - x * b for a, b in zip(row, prow)]
-            g = 0
-            for t in new:
-                if t:
-                    g = gcd(g, t)
-                    if g == 1:
-                        break
-            if g > 1:
-                new = [t // g for t in new]
-            work[i] = new
-        work = [row for row in work if any(row)]
-        rank += 1
-        col += 1
-    return rank
-
-
 def rank_of_columns(columns: Sequence[Sequence]) -> int:
     if not columns:
         return 0
@@ -315,19 +305,18 @@ def rank_of_columns(columns: Sequence[Sequence]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Integer lattice kernel (Hermite-style column elimination).  Needed by the
-# multiplicative-consistency check of the isomorphism solver: the kernel of
-# an integer matrix is a saturated lattice and this computes a basis of it.
+# Integer lattices: the Smith form behind the isomorphism solver.
 # ---------------------------------------------------------------------------
 
 
 def smith_normal_form(a: list[list[int]]):
-    """Smith normal form with transforms: returns (U, D, V) with U a V
+    """Smith normal form with transforms: returns (U, D, V) with U and V
     unimodular and U * a * V = D diagonal.
 
     Used to solve multiplicative systems d^E = r exactly: the unimodular
     change of variables reduces the system to independent root extractions,
-    which decides rational solvability completely.
+    which decides rational solvability completely.  The rows of U past the
+    rank of D are a basis of the left kernel lattice {z : z.a = 0}.
     """
     nrows = len(a)
     ncols = len(a[0]) if a else 0
@@ -388,51 +377,3 @@ def smith_normal_form(a: list[list[int]]):
                         dirty = True
         t += 1
     return u, d, v
-
-
-def int_kernel(a: list[list[int]], ncols: int) -> list[list[int]]:
-    """Basis of {z in Z^ncols : a.z = 0} via unimodular column operations."""
-    nrows = len(a)
-    work = [row[:] for row in a]
-    u = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-
-    def col_swap(j, k):
-        for row in work:
-            row[j], row[k] = row[k], row[j]
-        for row in u:
-            row[j], row[k] = row[k], row[j]
-
-    def col_addmul(j, k, m):
-        # column j += m * column k
-        for row in work:
-            row[j] += m * row[k]
-        for row in u:
-            row[j] += m * row[k]
-
-    pivot_col = 0
-    for i in range(nrows):
-        if pivot_col >= ncols:
-            break
-        # Euclidean reduction across columns pivot_col..ncols-1 on row i.
-        while True:
-            nz = [j for j in range(pivot_col, ncols) if work[i][j] != 0]
-            if not nz:
-                break
-            jmin = min(nz, key=lambda j: abs(work[i][j]))
-            col_swap(pivot_col, jmin)
-            done = True
-            for j in range(pivot_col + 1, ncols):
-                if work[i][j] != 0:
-                    q = work[i][j] // work[i][pivot_col]
-                    col_addmul(j, pivot_col, -q)
-                    if work[i][j] != 0:
-                        done = False
-            if done:
-                break
-        if work[i][pivot_col] != 0:
-            pivot_col += 1
-    kernel = []
-    for j in range(pivot_col, ncols):
-        if all(work[i][j] == 0 for i in range(nrows)):
-            kernel.append([u[i][j] for i in range(ncols)])
-    return kernel

@@ -4,20 +4,21 @@ matrices: chi(M, C) = C^{-1} M (c_ij^2).
 Orbits of the action are exactly the isomorphism classes of DG structures,
 so deciding isomorphism means deciding whether the orbit equation has a
 solution.  For each candidate permutation the scale constraints form a
-multiplicative lattice system d_i / d_j^2 = r_ij; solvability over the
-algebraic closure is a character condition on the integer kernel of the
-exponent matrix, and a rational witness is a matter of extracting rational
-roots during back-substitution.
+multiplicative lattice system d_i / d_j^2 = r_ij.  Its Smith form decides
+it: solvability over the algebraic closure is a character condition on the
+left kernel of the exponent matrix, and a rational witness is a matter of
+extracting rational roots of the transformed values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
+from math import isqrt
 from typing import Optional, Sequence
 
-from .linalg import Mat, Q, frac, int_kernel, smith_normal_form
+from .linalg import Mat, Q, frac, smith_normal_form
 
 
 class UnsupportedSize(ValueError):
@@ -75,10 +76,19 @@ class QplMatrix:
         return QplMatrix(tuple(perm), tuple([Q(1)] * n))
 
     def __mul__(self, other: "QplMatrix") -> "QplMatrix":
-        return QplMatrix.from_mat(self.to_mat() * other.to_mat())
+        # Row i of self picks row sigma(i) of other, scaled by d_i.
+        sigma = self.permutation
+        return QplMatrix(tuple(other.permutation[s] for s in sigma),
+                         tuple(d * other.scales[s] for d, s in zip(self.scales, sigma)))
 
     def inverse(self) -> "QplMatrix":
-        return QplMatrix.from_mat(self.to_mat().inverse())
+        # The entry d_i at (i, sigma(i)) becomes 1/d_i at (sigma(i), i).
+        perm = [0] * self.n
+        scales = [Q(0)] * self.n
+        for i, (s, d) in enumerate(zip(self.permutation, self.scales)):
+            perm[s] = i
+            scales[s] = 1 / d
+        return QplMatrix(tuple(perm), tuple(scales))
 
 
 def is_quasi_permutation(c: Mat) -> bool:
@@ -95,11 +105,22 @@ def is_quasi_permutation(c: Mat) -> bool:
 
 
 def chi(m: Mat, c) -> Mat:
-    """The right action: chi(M, C) = C^{-1} M (entrywise square of C)."""
-    cm = c.to_mat() if isinstance(c, QplMatrix) else c
-    if cm.rows != m.rows or cm.cols != m.cols:
+    """The right action: chi(M, C) = C^{-1} M (entrywise square of C).
+
+    For C with entry d_i at (i, sigma(i)) this is
+    chi(M, C)[sigma(i)][sigma(j)] = M[i][j] d_j^2 / d_i.
+    """
+    if isinstance(c, Mat):
+        c = QplMatrix.from_mat(c)
+    n = c.n
+    if m.rows != n or m.cols != n:
         raise ValueError("dimension mismatch")
-    return cm.inverse() * m * cm.hadamard_square()
+    sigma, d = c.permutation, c.scales
+    out = [[Q(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            out[sigma[i]][sigma[j]] = m[i, j] * d[j] * d[j] / d[i]
+    return Mat(out)
 
 
 # -- isomorphism decision -------------------------------------------------------
@@ -160,22 +181,19 @@ def _constraints_for(m: Mat, m2: Mat, sigma: Sequence[int]):
     return constraints
 
 
-def _closure_solvable(constraints) -> bool:
-    """Character test: for every integer vector z with z^T E = 0 the product
-    prod r_c^{z_c} must equal 1; the kernel lattice of E^T is saturated, so
-    checking a lattice basis is enough."""
-    if not constraints:
-        return True
-    n = len(constraints[0][0])
-    et = [[c[0][k] for c in constraints] for k in range(n)]
-    for z in int_kernel(et, len(constraints)):
-        val = Q(1)
-        for zc, (_, r) in zip(z, constraints):
-            if zc:
-                val *= r ** zc
-        if val != 1:
-            return False
-    return True
+def _int_root(k: int, g: int) -> Optional[int]:
+    """Exact g-th root of an integer k >= 1, or None if k is no g-th power."""
+    if g == 2:
+        r = isqrt(k)
+    else:
+        # Integer Newton from above, starting at a power of two >= the root.
+        r = 1 << -(-k.bit_length() // g)
+        while True:
+            s = ((g - 1) * r + k // r ** (g - 1)) // g
+            if s >= r:
+                break
+            r = s
+    return r if r ** g == k else None
 
 
 def _nth_root(x: Fraction, g: int) -> Optional[Fraction]:
@@ -189,17 +207,8 @@ def _nth_root(x: Fraction, g: int) -> Optional[Fraction]:
         return None
     mag = -x if neg else x
 
-    def int_root(k: int) -> Optional[int]:
-        if k == 1:
-            return 1
-        r = round(k ** (1.0 / g))
-        for cand in (r - 1, r, r + 1):
-            if cand > 0 and cand ** g == k:
-                return cand
-        return None
-
-    rn = int_root(mag.numerator)
-    rd = int_root(mag.denominator)
+    rn = _int_root(mag.numerator, g)
+    rd = _int_root(mag.denominator, g)
     if rn is None or rd is None:
         return None
     root = Q(rn, rd)
@@ -237,8 +246,9 @@ def _hermite_rows(constraints):
                 e, r = [-x for x in e], 1 / r
             echelon.append((e, r))
         col += 1
-    # Leftover rows have zero exponents; their values must be 1 (the closure
-    # test already guarantees this) -- keep them for the certificate.
+    # Leftover rows have zero exponents and span the left kernel of the
+    # exponent matrix: the system is solvable over the algebraic closure
+    # exactly when all their values are 1.
     residual = [(e, r) for e, r in rows if r != 1]
     return echelon, residual
 
@@ -250,7 +260,8 @@ def _solve_scales(constraints, n):
     equations y_i^g = value, so a rational witness exists exactly when each
     value admits a rational g-th root; free transformed variables are set
     to 1 and even roots branch over both signs.  Returns (candidates,
-    root requirements); candidates are re-verified by the caller.
+    root requirements), or None when the system has no solution even over
+    the algebraic closure; candidates are re-verified by the caller.
     """
     if not constraints:
         return [tuple([Q(1)] * n)], []
@@ -282,18 +293,15 @@ def _solve_scales(constraints, n):
             continue
         options = [root] if (g % 2 or root == 0) else [root, -root]
         y_choices.append((i, options))
-    # Rows beyond the rank are pure consistency conditions; the closure test
-    # has already enforced them, but guard against drift.
-    for i in range(rank, nc):
-        if transformed[i] != 1:
-            return [], needed
+    # Rows of U beyond the rank span the left kernel of the exponent
+    # matrix: the closure condition prod r^z = 1 over that lattice.
+    if any(transformed[i] != 1 for i in range(rank, nc)):
+        return None
     if needed:
         return [], needed
     indices = [i for i, _ in y_choices]
     candidates = []
-    from itertools import product as cartesian
-
-    for combo in cartesian(*[options for _, options in y_choices]):
+    for combo in product(*[options for _, options in y_choices]):
         y = [Q(1)] * n
         for i, val in zip(indices, combo):
             y[i] = val
@@ -313,7 +321,8 @@ def iso_solve(m: Mat, m2: Mat) -> IsoResult:
     """Decide whether two defining matrices lie in the same orbit.
 
     Every permutation is screened structurally, then its multiplicative
-    scale system is tested for solvability over the algebraic closure; a
+    scale system is solved through its Smith form: permutations whose
+    system has no solution over the algebraic closure are skipped, and a
     rational witness is extracted whenever the required radicals are
     rational.  Witnesses are re-verified exactly before being returned.
     """
@@ -327,9 +336,10 @@ def iso_solve(m: Mat, m2: Mat) -> IsoResult:
         constraints = _constraints_for(m, m2, sigma)
         if constraints is None:
             continue
-        if not _closure_solvable(constraints):
+        solved = _solve_scales(constraints, n)
+        if solved is None:
             continue
-        candidates, needed = _solve_scales(constraints, n)
+        candidates, needed = solved
         for scales in candidates:
             witness = QplMatrix(tuple(sigma), scales)
             if chi(m, witness) == m2:
@@ -376,9 +386,9 @@ def aut_group(m: Mat) -> list[AutFamily]:
         constraints = _constraints_for(m, m, sigma)
         if constraints is None:
             continue
-        if not _closure_solvable(constraints):
+        echelon, residual = _hermite_rows(constraints)
+        if residual:
             continue
-        echelon, _ = _hermite_rows(constraints)
         fixed = {}
         relations = []
         pivot_cols = set()

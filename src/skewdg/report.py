@@ -15,13 +15,14 @@ from typing import Optional
 from .classify import (
     GradedPresentation,
     classify,
+    degenerate_presentation,
     presentation_of,
     presented_dims,
     theorem_c,
 )
 from .dg import DgSpec, cy_probe
 from .finalg import frobenius, recognize_truncated, socle_dim
-from .linalg import Mat, Q
+from .linalg import Mat
 from .resolution import (
     InfinitePattern,
     SemifreeResolution,
@@ -42,10 +43,7 @@ def n2_presentation(m: Mat) -> Optional[GradedPresentation]:
     if a != 0 and b == 0 and c == 0 and d == 0:
         return GradedPresentation([("z", 1)], [])
     if b != 0 and a == 0 and c == 0 and d == 0:
-        return GradedPresentation(
-            [("z", 1), ("w", 2)],
-            [[(Q(1), (0, 0))], [(Q(1), (0, 1)), (Q(-1), (1, 0))]],
-        )
+        return degenerate_presentation()
     if a != 0 and b != 0 and c == 0 and d == 0:
         return GradedPresentation([("z", 1)], [])
     if a != 0 and c != 0 and b == 0 and d == 0:
@@ -53,10 +51,7 @@ def n2_presentation(m: Mat) -> Optional[GradedPresentation]:
     if all(x != 0 for x in (a, b, c, d)) and a * a != c * d:
         return GradedPresentation([("z", 1)], [])
     if all(x != 0 for x in (a, b, c, d)) and a * a == c * d:
-        return GradedPresentation(
-            [("z", 1), ("w", 2)],
-            [[(Q(1), (0, 0))], [(Q(1), (0, 1)), (Q(-1), (1, 0))]],
-        )
+        return degenerate_presentation()
     return None
 
 

@@ -18,6 +18,11 @@ from .linalg import Q, frac
 Monomial = tuple  # exponent vector (a_1, ..., a_n)
 
 
+class InternalConsistencyError(RuntimeError):
+    """A mathematically impossible configuration was produced: an
+    implementation bug, reported loudly rather than patched over."""
+
+
 def normalize_word(letters: Sequence[int], n: int) -> tuple[int, Monomial]:
     """Sort a word in the letters 1..n into normal form.
 
@@ -116,16 +121,6 @@ class SkewElement:
             terms[tuple(exps)] = frac(c)
         return SkewElement(n, terms)
 
-    @staticmethod
-    def square_form(coeffs: Sequence, n: int) -> "SkewElement":
-        """c_1 x_1^2 + ... + c_n x_n^2."""
-        terms = {}
-        for i, c in enumerate(coeffs):
-            exps = [0] * n
-            exps[i] = 2
-            terms[tuple(exps)] = frac(c)
-        return SkewElement(n, terms)
-
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -136,25 +131,6 @@ class SkewElement:
 
     def degrees(self) -> set:
         return {mono_degree(m) for m in self.terms}
-
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
-    def degree(self):
-        """Degree if homogeneous and nonzero, else None."""
-        degs = self.degrees()
-        return degs.pop() if len(degs) == 1 else None
-
-    def homogeneous_part(self, d: int) -> "SkewElement":
-        return SkewElement(self.n, {m: c for m, c in self.terms.items() if mono_degree(m) == d})
-
-    def linear_coefficients(self) -> tuple:
-        """Coefficient vector (c_1..c_n) of a degree-<=1 element's linear part."""
-        coeffs = [Q(0)] * self.n
-        for m, c in self.terms.items():
-            if mono_degree(m) == 1:
-                coeffs[m.index(1)] = c
-        return tuple(coeffs)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -226,7 +202,9 @@ def graded_basis(n: int, d: int) -> list[Monomial]:
             exps[i] += 1
         monomials.add(tuple(exps))
     result = sorted(monomials, reverse=True)
-    assert len(result) == comb(n + d - 1, n - 1)
+    if len(result) != comb(n + d - 1, n - 1):
+        raise InternalConsistencyError("degree-%d basis of %d variables has %d monomials"
+                                       % (d, n, len(result)))
     return result
 
 

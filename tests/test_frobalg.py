@@ -9,7 +9,6 @@ from skewdg.finalg import (
     AlgebraError,
     FinAlg,
     frobenius,
-    make_algebra,
     radical_filtration,
     recognize_truncated,
     sklyanin_e,
@@ -31,7 +30,7 @@ def truncated_poly(m):
 
 
 def test_make_algebra_truncated_poly():
-    alg = make_algebra(*truncated_poly(4))
+    alg = FinAlg(*truncated_poly(4))
     assert alg.dim == 4
     assert socle_dim(alg) == 1
     assert radical_filtration(alg) == [1, 1, 1, 1]
@@ -42,7 +41,7 @@ def test_make_algebra_rejects_nonassociative():
     m, unit, structure = truncated_poly(3)
     structure[1][2][0] = 1  # x * x^2 gains a unit component
     with pytest.raises(AlgebraError):
-        make_algebra(m, unit, structure)
+        FinAlg(m, unit, structure)
 
 
 def test_commutant_of_published_first_representative_is_valid():
@@ -117,7 +116,7 @@ def test_socle_unsupported_for_nonlocal():
 
 
 def test_recognize_truncated_examples():
-    assert recognize_truncated(make_algebra(*truncated_poly(8))) == 8
+    assert recognize_truncated(FinAlg(*truncated_poly(8))) == 8
     # Commutant of the published M5 grid: xi_2^2 = 0, so rad/rad^2 is
     # two-dimensional and recognition correctly declines.
     alg = ext_algebra(published_resolution("M5"))
@@ -141,7 +140,7 @@ def test_recognition_implies_chain_filtration():
     # Recognition forces a one-dimensional socle and an all-ones filtration.
     rng = random.Random(59)
     for m in (2, 3, 5, 7):
-        alg = make_algebra(*truncated_poly(m))
+        alg = FinAlg(*truncated_poly(m))
         assert recognize_truncated(alg) == m
         assert socle_dim(alg) == 1
         assert radical_filtration(alg) == [1] * m

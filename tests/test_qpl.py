@@ -157,3 +157,33 @@ def test_aut_e12():
     c = QplMatrix((0, 1, 2), (4, 2, 5))
     m = Mat([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
     assert chi(m, c) == m
+
+
+def test_closure_decision_regression():
+    # Every permutation matches the zero pattern, but no scale system is
+    # solvable even over the algebraic closure, so no ClosureOnly may appear.
+    ones = Mat([[1, 1, 1], [1, 1, 1], [1, 1, 1]])
+    other = Mat([[1, 1, 1], [1, 1, 1], [1, 1, 2]])
+    assert iso_solve(ones, other).status == "NotIsomorphic"
+    families = aut_group(other)
+    assert [f.permutation for f in families] == [(0, 1, 2), (1, 0, 2)]
+    for fam in families:
+        assert fam.fixed == {0: Q(1), 1: Q(1), 2: Q(1)}
+        assert not fam.relations and not fam.free
+
+
+def test_iso_exact_root_of_large_scale():
+    # The scale is a square root far beyond float precision.
+    m = Mat([[0, 1, 1], [0, 0, 0], [0, 0, 0]])
+    target = chi(m, QplMatrix((0, 1, 2), (1, 3 ** 60 + 1, 1)))
+    result = iso_solve(m, target)
+    assert result.status == "Witness"
+    assert chi(m, result.witness) == target
+
+
+def test_iso_root_beyond_float_range():
+    m = Mat([[0, 1, 1], [0, 0, 0], [0, 0, 0]])
+    target = chi(m, QplMatrix((0, 1, 2), (1, 10 ** 200 + 7, 1)))
+    result = iso_solve(m, target)
+    assert result.status == "Witness"
+    assert chi(m, result.witness) == target
