@@ -49,6 +49,8 @@ def load_matrix(path: str) -> Mat:
         raise InputError("cannot read %s: %s" % (path, exc))
     try:
         n = int(data["n"])
+        if n < 1:
+            raise InputError("n must be at least 1, got %d" % n)
         rows = data["matrix"]
         if len(rows) != n or any(len(r) != n for r in rows):
             raise InputError("matrix must be %d x %d" % (n, n))
@@ -143,6 +145,8 @@ def cmd_probe(args) -> int:
 def cmd_iso(args) -> int:
     a = load_matrix(args.first)
     b = load_matrix(args.second)
+    if a.rows != b.rows:
+        raise InputError("the two matrices have different sizes (%d and %d)" % (a.rows, b.rows))
     result = iso_solve(a, b)
     emit({"check": "iso", **result.as_dict()}, args.pretty)
     return EXIT_OK
@@ -289,9 +293,6 @@ def main(argv=None) -> int:
     except InternalConsistencyError as exc:
         print("internal consistency failure: %s" % exc, file=sys.stderr)
         return EXIT_INCONSISTENT
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

@@ -249,17 +249,15 @@ def rref(a: Mat) -> tuple[Mat, int, list[int]]:
     return Mat(red), len(pivots), pivots
 
 
-def kernel_basis(a: Mat) -> list[tuple]:
-    """Basis of the nullspace {v : a.v = 0}.
-
-    Deterministic: derived from the RREF, each vector scaled so its first
-    nonzero coordinate equals 1.
-    """
-    red, rank, pivots = rref(a)
-    free = [j for j in range(a.cols) if j not in pivots]
+def _kernel_from_rref(red: Mat, pivots: list[int], ncols: int) -> list[tuple]:
+    """Nullspace basis of the first ncols columns of a reduced matrix whose
+    pivots in those columns are `pivots`, each vector scaled so its first
+    nonzero coordinate equals 1."""
     basis = []
-    for j in free:
-        v = [Q(0)] * a.cols
+    for j in range(ncols):
+        if j in pivots:
+            continue
+        v = [Q(0)] * ncols
         v[j] = Q(1)
         for i, p in enumerate(pivots):
             v[p] = -red.data[i][j]
@@ -268,23 +266,35 @@ def kernel_basis(a: Mat) -> list[tuple]:
     return basis
 
 
+def kernel_basis(a: Mat) -> list[tuple]:
+    """Basis of the nullspace {v : a.v = 0}.
+
+    Deterministic: derived from the RREF, each vector scaled so its first
+    nonzero coordinate equals 1.
+    """
+    red, _, pivots = rref(a)
+    return _kernel_from_rref(red, pivots, a.cols)
+
+
 def solve_linear(a: Mat, b: Sequence) -> tuple[Optional[tuple], list[tuple]]:
     """Solve a.x = b exactly.
 
     Returns (particular, kernel_basis); particular is None iff the system is
     inconsistent.  The particular solution is canonical: free variables are
-    set to zero (RREF back-substitution).
+    set to zero (RREF back-substitution).  One elimination serves both: the
+    first a.cols columns of the reduced augmented matrix are rref(a).
     """
     if len(b) != a.rows:
         raise ValueError("dimension mismatch")
     aug = Mat([list(row) + [bi] for row, bi in zip(a.data, b)])
-    red, rank, pivots = rref(aug)
+    red, _, pivots = rref(aug)
+    kernel = _kernel_from_rref(red, [p for p in pivots if p < a.cols], a.cols)
     if a.cols in pivots:
-        return None, kernel_basis(a)
+        return None, kernel
     x = [Q(0)] * a.cols
     for i, p in enumerate(pivots):
         x[p] = red.data[i][a.cols]
-    return tuple(x), kernel_basis(a)
+    return tuple(x), kernel
 
 
 def in_span(vectors: Sequence[Sequence], v: Sequence) -> bool:

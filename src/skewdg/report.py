@@ -25,7 +25,6 @@ from .finalg import frobenius, recognize_truncated, socle_dim
 from .linalg import Mat
 from .resolution import (
     InfinitePattern,
-    SemifreeResolution,
     UnsupportedCase,
     build_resolution,
     ext_algebra,
@@ -68,7 +67,7 @@ def analyze(m: Mat, dmax: int = 6, verify_depth: int = 4, truncate: int = 8) -> 
     """Aggregate all analyses of a defining matrix with cross-checks."""
     n = m.rows
     if n not in (2, 3):
-        raise ValueError("reports cover n = 2 and n = 3")
+        raise UnsupportedCase("reports cover n = 2 and n = 3")
     spec = DgSpec(m)
     brute = spec.cohomology(max(dmax, 2))
     payload = {
@@ -113,18 +112,13 @@ def analyze(m: Mat, dmax: int = 6, verify_depth: int = 4, truncate: int = 8) -> 
     else:
         payload["presentation"] = None
 
-    resolution_info = None
     if n == 3:
-        try:
-            built = build_resolution(m, truncate=truncate)
-        except UnsupportedCase as exc:
-            built = None
-            resolution_info = {"available": False, "reason": str(exc)}
+        built = build_resolution(m, truncate=truncate)
         if isinstance(built, InfinitePattern):
             resolution_info = built.as_dict()
             resolution_info["available"] = True
             cy_votes.append(False)
-        elif isinstance(built, SemifreeResolution):
+        else:
             check = verify_resolution(built.spec, built, dmax=verify_depth)
             ext = ext_algebra(built)
             frob = frobenius(ext)

@@ -9,29 +9,18 @@ commutant of the differential matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from .classify import (
-    RANK0,
-    RANK1,
-    RANK2_DEGENERATE,
-    RANK2_NONDEG,
-    RANK3,
-    CaseLabel,
-    classify,
-    quadric_coefficients,
-    theorem_c,
-)
+from .classify import CaseLabel, classify, quadric_coefficients, theorem_c
 from .dg import DgSpec, InternalConsistencyError
 from .finalg import FinAlg
-from .linalg import Mat, Q, _int_rows, frac, int_rank, kernel_basis, rref, solve_linear
-from .qpl import QplMatrix, chi, iso_solve
-from .skew import SkewElement, coefficient_vector, graded_basis, parse_element
+from .linalg import Mat, Q, _int_rows, frac, int_rank, kernel_basis, rref
+from .skew import SkewElement, graded_basis, parse_element
 
 
 class UnsupportedCase(ValueError):
-    """No resolution is constructed for this classification branch."""
+    """The input is outside what the command covers, such as n != 3."""
 
 
 @dataclass
@@ -39,9 +28,6 @@ class SemifreeResolution:
     spec: DgSpec  # the DG structure the rows are valid over
     d: list  # m x m grid of SkewElement, strictly lower triangular
     subcase: CaseLabel
-    named: dict = field(default_factory=dict)  # sigma, tau, lambda, ... as elements
-    normalization: Optional[dict] = None  # iso data when built over a representative
-    relation: Optional[tuple] = None  # quadric coefficients (t1, t2, t3) if applicable
 
     @property
     def size(self) -> int:
@@ -51,18 +37,12 @@ class SemifreeResolution:
         return self.d[j][l]
 
     def as_dict(self):
-        out = {
+        return {
             "size": self.size,
             "matrix": [[str(x) for x in row] for row in self.spec.m.data],
             "subcase": self.subcase.as_dict(),
             "rows": [[str(self.d[j][l]) for l in range(j)] for j in range(self.size)],
-            "named_elements": {k: str(v) for k, v in sorted(self.named.items())},
         }
-        if self.relation is not None:
-            out["relation"] = [str(t) for t in self.relation]
-        if self.normalization:
-            out["normalization"] = self.normalization
-        return out
 
 
 def resolution_from_dict(data: dict) -> SemifreeResolution:
@@ -75,13 +55,7 @@ def resolution_from_dict(data: dict) -> SemifreeResolution:
     for j, row in enumerate(data["rows"]):
         for l, text in enumerate(row):
             grid[j][l] = parse_element(text, spec.n)
-    named = {k: parse_element(v, spec.n)
-             for k, v in data.get("named_elements", {}).items()}
-    label = classify(mat)
-    relation = tuple(frac(t) for t in data["relation"]) if "relation" in data else None
-    return SemifreeResolution(spec, grid, label, named,
-                              normalization=data.get("normalization"),
-                              relation=relation)
+    return SemifreeResolution(spec, grid, classify(mat))
 
 
 @dataclass
@@ -279,103 +253,11 @@ def eilenberg_moore(spec: DgSpec, max_size: int = 64):
     return _square_grid(spec, rows), True
 
 
-# -- the explicit constructions ---------------------------------------------------
+# -- the published equality-case fixtures ------------------------------------------
 
 
-def _row_grid(spec: DgSpec, spec_rows) -> list:
-    m = len(spec_rows) + 1
-    grid = [[SkewElement.zero(spec.n) for _ in range(m)] for _ in range(m)]
-    for j, row in enumerate(spec_rows, start=1):
-        for l, entry in enumerate(row):
-            grid[j][l] = entry
-    return grid
-
-
-def _degenerate_rows(spec: DgSpec, label: CaseLabel):
-    """The staircase rows for the seven rank-2 degenerate subcases."""
-    n = 3
-    data = label.data
-    t = SkewElement.linear(data["t"], n)
-    sigma = SkewElement.linear(data["q"], n)
-    named = {"t": t, "sigma": sigma}
-    zero = SkewElement.zero(n)
-    sub = label.subcase
-    if sub == "1.1":
-        body = [[t], [sigma, t]]
-    elif sub in ("1.2.1", "1.2.2", "1.2.3"):
-        tau = zero
-        named["tau"] = tau
-        body = [[t], [sigma, t], [2 * tau, sigma, t]]
-        if sub in ("1.2.2", "1.2.3"):
-            lam = SkewElement.linear(data["u"], n)
-            named["lambda"] = lam
-            body.append([lam, 2 * tau, sigma, t])
-        if sub == "1.2.3":
-            omega = SkewElement.linear(data["v"], n)
-            named["omega"] = omega
-            body.append([2 * omega, lam, 2 * tau, sigma, t])
-    elif sub == "1.2.4":
-        lam = SkewElement.linear(data["u"], n)
-        eta = SkewElement.linear(data["w"], n)
-        named["lambda"] = lam
-        named["eta"] = eta
-        body = [
-            [t],
-            [sigma, t],
-            [zero, sigma, t],
-            [lam, zero, sigma, t],
-            [zero, lam, zero, sigma, t],
-            [eta, zero, lam, zero, sigma, t],
-            [zero, eta, zero, lam, zero, sigma, t],
-        ]
-    elif sub in ("1.3.1", "1.3.2"):
-        tau = SkewElement.linear(data["r"], n)
-        named["tau"] = tau
-        body = [[t], [sigma, t], [2 * tau, sigma, t]]
-        if sub == "1.3.2":
-            lam = SkewElement.linear(data["u"], n)
-            omega = SkewElement.linear(data["v"], n)
-            named["lambda"] = lam
-            named["omega"] = omega
-            body.append([lam, 2 * tau, sigma, t])
-            body.append([2 * omega, lam, 2 * tau, sigma, t])
-    else:
-        raise InternalConsistencyError("unknown subcase %r" % sub)
-    return _row_grid(spec, body), named
-
-
-def _quadric_rows(spec: DgSpec, label: CaseLabel):
-    """Size-4 resolution for the two-generator cohomology with one quadric.
-
-    The last row needs a degree-1 correction term w solving
-    d(w) = t1 y1^2 + t2 y2^2 + t3 (y1 y2 + y2 y1); the square-zero identity
-    fails without it.
-    """
-    n = 3
-    m11, m12, m13, l1, l2 = label.params
-    t1, t2, t3 = quadric_coefficients(label.params)
-    y1 = SkewElement.linear((l1, Q(-1), Q(0)), n)
-    y2 = SkewElement.linear((l2, Q(0), Q(-1)), n)
-    target = (y1 * y1).scale(t1) + (y2 * y2).scale(t2) + (y1 * y2 + y2 * y1).scale(t3)
-    rhs = coefficient_vector(target, 2, [(2, 0, 0), (0, 2, 0), (0, 0, 2)])
-    if any(target.coefficient(mono) != 0
-           for mono in target.terms if sorted(mono) != [0, 0, 2]):
-        raise InternalConsistencyError("quadric value left the square-form span")
-    w_vec, _ = solve_linear(spec.m.T, rhs)
-    if w_vec is None:
-        raise InternalConsistencyError("quadric relation is not a coboundary")
-    w = SkewElement.linear(w_vec, n)
-    named = {"y1": y1, "y2": y2, "w": w}
-    body = [
-        [y1],
-        [y2, SkewElement.zero(n)],
-        [w, y1.scale(t1) + y2.scale(t3), y2.scale(t2) + y1.scale(t3)],
-    ]
-    return _row_grid(spec, body), named
-
-
-# The six equality-case representatives every rank-1 equality matrix
-# normalizes to.
+# The paper's six rank-1 representatives M1-M6, whose resolution sizes and
+# Ext dimensions it tabulates.
 SIX_REPRESENTATIVES = {
     "M1": Mat([[0, 1, 1], [0, 0, 0], [0, 0, 0]]),
     "M2": Mat([[0, 1, 0], [0, 0, 0], [0, 0, 0]]),
@@ -429,46 +311,6 @@ PUBLISHED_GRIDS = {
     ],
 }
 
-# Verified minimal grids (constructed by the cocycle-killing builder and
-# checked by verify_resolution; deterministic, frozen here so that emitted
-# resolutions are stable fixtures).  M1 keeps its published form.
-VERIFIED_GRIDS = {
-    "M1": PUBLISHED_GRIDS["M1"],
-    "M2": [
-        ["x2"],
-        ["x3", "0"],
-        ["x1", "x2", "0"],
-        ["0", "x3", "x2", "0"],
-        ["0", "x1", "0", "x2", "0"],
-        ["0", "0", "x1", "x3", "x2", "0"],
-        ["0", "0", "0", "0", "x1", "x3", "x2"],
-    ],
-    "M3": [
-        ["x1 - x2"],
-        ["x3", "0"],
-        ["0", "x3", "x1 - x2"],
-        ["x1", "x1 - x2", "x3", "0"],
-        ["0", "0", "x1", "x1 - x2", "x3"],
-    ],
-    "M4": [
-        ["x2"],
-        ["x1 - x3", "0"],
-        ["x1", "x2", "0"],
-        ["0", "x1 - x3", "x2", "0"],
-        ["0", "x1", "0", "x2", "0"],
-        ["0", "0", "x1", "-x1 - x3", "x2", "-2*x2"],
-        ["0", "0", "0", "0", "x1", "-x1 - x3", "x2"],
-    ],
-    "M5": [
-        ["x1 - x2"],
-        ["x3", "0"],
-        ["x1", "x1 - x2", "0"],
-        ["0", "x3", "x1 - x2", "0"],
-        ["0", "0", "x1", "x3", "x1 - x2"],
-    ],
-    "M6": PUBLISHED_GRIDS["M6"],
-}
-
 
 def _grid_from_table(table) -> list:
     rows = [[parse_element(s, 3) for s in line] for line in table]
@@ -485,81 +327,27 @@ def published_resolution(name: str) -> SemifreeResolution:
                               classify(rep))
 
 
-def representative_for(label: CaseLabel) -> str:
-    """Which of the six equality representatives a rank-1 equality case
-    normalizes to (cohomology cases 7, 8, 9)."""
-    m11, m12, m13, l1, l2 = label.params
-    case = label.coh_case
-    if case == 9:
-        return "M1" if (m12 != 0 and m13 != 0) else "M2"
-    if case == 7:
-        if m12 != 0 and m13 != 0:
-            return "M3"
-        return "M4" if m12 == 0 else "M5"
-    if case == 8:
-        if m12 != 0 and m13 != 0:
-            return "M3"
-        return "M5" if m12 == 0 else "M4"
-    raise ValueError("not an equality case")
-
-
 def build_resolution(m: Mat, truncate: int = 8):
-    """Dispatch on the classification and build the minimal resolution.
+    """The minimal semifree resolution of k over A(m), built by eilenberg_moore
+    on m itself.
 
-    Returns a SemifreeResolution, an InfinitePattern for the non-smooth
-    families, or raises UnsupportedCase for the branches with no published
-    construction (rank 2 nondegenerate and rank 0).
+    Returns a SemifreeResolution, or an InfinitePattern carrying a truncated
+    prefix of at most `truncate` generators for the rank-1 families that are
+    not homologically smooth.  A build that does not close on a smooth input
+    raises InternalConsistencyError.
     """
     label = classify(m)
     spec = DgSpec(m)
-    if label.branch == RANK3:
-        return SemifreeResolution(spec, [[SkewElement.zero(3)]], label)
-    if label.branch in (RANK2_NONDEG, RANK0):
-        raise UnsupportedCase("no resolution is constructed for branch %s" % label.branch)
-    if label.branch == RANK2_DEGENERATE:
-        grid, named = _degenerate_rows(spec, label)
-        return SemifreeResolution(spec, grid, label, named)
-    # Rank 1.
-    verdict = theorem_c(m)
-    if not verdict.homologically_smooth:
-        t1, t2, t3 = quadric_coefficients(label.params)
+    if not theorem_c(m).homologically_smooth:  # only rank-1 families
         grid, _complete = eilenberg_moore(spec, max_size=truncate)
-        trunc_label = CaseLabel(label.rank, label.branch, coh_case=label.coh_case,
-                                params=label.params, permutation=label.permutation)
-        trunc = SemifreeResolution(spec, grid, trunc_label, {})
-        return InfinitePattern((t1, t2, t3), trunc)
-    if label.coh_case in (4, 5, 6):
-        work = m
-        normalization = None
-        if label.permutation and label.permutation != (0, 1, 2):
-            swap = QplMatrix(label.permutation, (Q(1), Q(1), Q(1)))
-            work = chi(m, swap)
-            normalization = {"status": "Witness",
-                             "permutation": [p + 1 for p in label.permutation]}
-        wspec = DgSpec(work)
-        grid, named = _quadric_rows(wspec, label)
-        res = SemifreeResolution(wspec, grid, label, named,
-                                 relation=quadric_coefficients(label.params))
-        res.normalization = normalization
-        return res
-    # Equality cases 7, 8, 9: normalize to one of the six representatives.
-    name = representative_for(label)
-    rep = SIX_REPRESENTATIVES[name]
-    iso = iso_solve(m, rep)
-    if iso.status == "NotIsomorphic":
+        return InfinitePattern(quadric_coefficients(label.params),
+                               SemifreeResolution(spec, grid, label))
+    grid, complete = eilenberg_moore(spec)
+    if not complete:
         raise InternalConsistencyError(
-            "equality case did not land on its representative %s" % name)
-    full = _grid_from_table(VERIFIED_GRIDS[name])
-    rep_label = CaseLabel(1, RANK1, coh_case=label.coh_case, params=label.params,
-                          permutation=label.permutation)
-    res = SemifreeResolution(DgSpec(rep), full, rep_label)
-    res.normalization = {"status": iso.status, "representative": name}
-    if iso.status == "Witness":
-        res.normalization["permutation"] = [p + 1 for p in iso.witness.permutation]
-        res.normalization["scales"] = [str(d) for d in iso.witness.scales]
-    else:
-        res.normalization["root_requirements"] = [r.as_dict() for r in iso.root_requirements]
-    return res
+            "the resolution of a homologically smooth input did not close "
+            "within %d generators" % len(grid))
+    return SemifreeResolution(spec, grid, label)
 
 
 # -- Ext-algebras -------------------------------------------------------------------

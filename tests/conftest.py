@@ -74,11 +74,13 @@ NOT_CY = [
 
 
 def fresh_minimal_size(m, dmax=7):
-    """Size of the resolution that eilenberg_moore builds from scratch for m,
-    after checking that the build is complete and exact through H^(dmax-1).
+    """Size of the resolution that eilenberg_moore builds for m under a cap
+    of 16 generators, after checking that the build is complete and exact
+    through H^(dmax-1).
 
-    This route ignores the frozen grids that build_resolution emits, so it
-    is an independent check of their sizes.
+    On a split matrix, product_rule_size multiplies this size over the two
+    tensor factors, which checks the size build_resolution emits for the
+    whole matrix without building it.
     """
     from skewdg.dg import DgSpec
     from skewdg.resolution import SemifreeResolution, eilenberg_moore, verify_resolution

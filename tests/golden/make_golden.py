@@ -66,7 +66,7 @@ PER_INPUT = (
 )
 # ext and report run on every input except those whose Ext-algebra has
 # dimension 8, which take seconds each.
-LARGE_EXT = {"sub_1_2_4", "rank1_case8", "rank1_case9", "M1", "M2", "M4"}
+LARGE_EXT = {"sub_1_2_4", "rank1_case8", "rank1_case9", "M1", "M2", "M4", "rank0"}
 ISO_PAIRS = (
     ("rank1_case4", "case4_image"),  # Witness
     ("closure_a", "closure_b"),  # ClosureOnly

@@ -246,7 +246,7 @@ def test_criterion_06_representatives(representative_resolutions):
         check = data["verified"]
         assert check.passed and len(check.cohomology_dims) == 7, (name, check.failures)
         sizes[name] = data["resolution"].size
-        # A fresh cocycle-killing build, independent of the frozen grids.
+        # A fresh eilenberg_moore build under its own size cap.
         assert sizes[name] == fresh_minimal_size(SIX_REPRESENTATIVES[name]), name
     # M2 and M5 split off a k[x3] tensor factor, so their sizes multiply.
     for name in ("M2", "M5"):

@@ -80,13 +80,31 @@ def test_cli_iso_witness(tmp_path, capsys):
     assert record["permutation"] == [1, 3, 2]
 
 
-def test_cli_exit_codes(tmp_path, capsys):
+def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "bad.json"
     bad.write_text('{"n": 3, "matrix": [["1"]]}')
     assert main(["classify", str(bad)]) == 1
-    unsupported = write_matrix(tmp_path, "u.json", [[1, 0, 0], [0, 1, 0], [0, 0, 0]])
-    assert main(["resolve", str(unsupported)]) == 2
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"n": 0, "matrix": []}')
+    assert main(["cohomology", str(empty)]) == 1
+    n2 = write_matrix(tmp_path, "n2.json", [[0, 1], [0, 0]], n=2)
+    n3 = write_matrix(tmp_path, "n3.json", [[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+    n4 = write_matrix(tmp_path, "n4.json", [[1, 0, 0, 0], [0, 1, 0, 0],
+                                            [0, 0, 0, 0], [0, 0, 0, 0]], n=4)
+    assert main(["iso", n2, n3]) == 1
+    assert main(["resolve", n2]) == 2
+    for command in ("report", "iso", "aut"):
+        assert main([command, n4] + ([n4] if command == "iso" else [])) == 2, command
     capsys.readouterr()
+
+    # A ValueError raised inside the library is a bug, not bad input: it
+    # propagates with its traceback instead of becoming exit code 1.
+    def broken(m):
+        raise ValueError("library bug")
+
+    monkeypatch.setattr("skewdg.cli.classify", broken)
+    with pytest.raises(ValueError, match="library bug"):
+        main(["classify", n3])
 
 
 def test_cli_resolve_verify(tmp_path, capsys):

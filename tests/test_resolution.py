@@ -1,43 +1,53 @@
 """Resolution construction, verification, and Ext-algebra extraction."""
 
+import os
+import random
+import sys
 from fractions import Fraction as Q
-
-import pytest
 
 from conftest import (NOT_CY, SUBCASE_BATTERY, SUBCASE_EXT, SUBCASE_SIZE, fresh_minimal_size,
                       product_rule_size)
-from skewdg.dg import DgSpec
+from reference_resolution import reference_resolution
 from skewdg.finalg import frobenius, radical_filtration, recognize_truncated, socle_dim
 from skewdg.linalg import Mat
+from skewdg.qpl import QplMatrix, chi, iso_solve
 from skewdg.resolution import (
     SIX_REPRESENTATIVES,
     InfinitePattern,
     SemifreeResolution,
-    UnsupportedCase,
     build_resolution,
-    eilenberg_moore,
     ext_algebra,
     published_resolution,
     resolution_from_dict,
     verify_resolution,
 )
-from skewdg.skew import SkewElement, parse_element
+from skewdg.skew import SkewElement
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden"))
+from make_golden import MATRICES as GOLDEN_MATRICES  # noqa: E402
+
+# Rank-2 nondegenerate inputs: A(M) has cohomology k[z], and k has a
+# resolution of size 2.
+RANK2_NONDEG_INPUTS = [
+    [[1, 0, 0], [0, 1, 0], [0, 0, 0]],
+    [[1, 2, 0], [0, 1, 1], [1, 3, 1]],
+]
 
 
 def test_case_1_1_structure():
     m = Mat([[1, 0, 1], [0, 1, 0], [1, 0, 1]])
-    res = build_resolution(m)
+    res, named, _ = reference_resolution(m)
     assert res.size == 3
-    assert str(res.named["t"]) == "x1 - x3"
-    assert str(res.named["sigma"]) == "x1"
-    assert res.entry(1, 0) == res.named["t"]
-    assert res.entry(2, 0) == res.named["sigma"]
-    assert res.entry(2, 1) == res.named["t"]
+    assert str(named["t"]) == "x1 - x3"
+    assert str(named["sigma"]) == "x1"
+    assert res.entry(1, 0) == named["t"]
+    assert res.entry(2, 0) == named["sigma"]
+    assert res.entry(2, 1) == named["t"]
 
 
 def test_case_1_2_4_structure():
     m = Mat([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-    res = build_resolution(m)
+    res, _, _ = reference_resolution(m)
     assert res.size == 8
     # The staircase with entries t3 x3, sigma, lambda, eta.
     expect = [
@@ -61,11 +71,20 @@ def test_rank3_resolution():
     assert check.cohomology_dims[0] == 1
 
 
-def test_unsupported_branches():
-    with pytest.raises(UnsupportedCase):
-        build_resolution(Mat([[1, 0, 0], [0, 1, 0], [0, 0, 0]]))
-    with pytest.raises(UnsupportedCase):
-        build_resolution(Mat.zero(3, 3))
+def test_rank2_nondegenerate_and_zero_resolutions():
+    # The branches the paper gives no construction for: the builder resolves
+    # them at size 2 (rank 2 nondegenerate) and 8 (the zero matrix, whose
+    # resolution has the Koszul shape, 2^3 generators).
+    for rows, size in [(r, 2) for r in RANK2_NONDEG_INPUTS] + [([[0] * 3] * 3, 8)]:
+        m = Mat(rows)
+        res = build_resolution(m)
+        assert res.spec.m == m and res.size == size, rows
+        check = verify_resolution(res.spec, res, dmax=5)
+        assert check.passed, (rows, check.failures)
+        ext = ext_algebra(res)
+        assert ext.dim == size and ext.is_local() and socle_dim(ext) == 1, rows
+        verdict = frobenius(ext)
+        assert verdict.frobenius and verdict.symmetric, rows
 
 
 def test_battery_sizes_verification_and_ext(subcase_resolutions):
@@ -86,7 +105,7 @@ def test_mutated_resolution_fails_square_zero():
     res = build_resolution(m)
     rows = [row[:] for row in res.d]
     rows[2][0] = rows[2][0] + SkewElement.variable(2, 3)
-    bad = SemifreeResolution(res.spec, rows, res.subcase, res.named)
+    bad = SemifreeResolution(res.spec, rows, res.subcase)
     check = verify_resolution(res.spec, bad, dmax=4)
     assert not check.square_zero
     assert any(f[0] == "square-zero" and (f[1], f[2]) == (2, 0) for f in check.failures)
@@ -97,7 +116,7 @@ def test_mutated_entry_degree_fails_minimality():
     res = build_resolution(m)
     rows = [row[:] for row in res.d]
     rows[1][0] = rows[1][0] + SkewElement.one(3)
-    bad = SemifreeResolution(res.spec, rows, res.subcase, res.named)
+    bad = SemifreeResolution(res.spec, rows, res.subcase)
     assert not verify_resolution(res.spec, bad, dmax=3).minimal
 
 
@@ -105,10 +124,10 @@ def test_quadric_correction_term():
     # The fourth row of the two-generator resolution needs d(w) to hit the
     # quadric exactly; for the all-ones family the solver returns x1.
     m = Mat([[1, 1, 1], [1, 1, 1], [1, 1, 1]])
-    res = build_resolution(m)
+    res, named, relation = reference_resolution(m)
     assert res.size == 4
-    assert str(res.named["w"]) == "x1"
-    assert res.relation == (1, 1, Q(-1, 2))
+    assert str(named["w"]) == "x1"
+    assert relation == (1, 1, Q(-1, 2))
     assert verify_resolution(res.spec, res, dmax=5).passed
     ext = ext_algebra(res)
     assert ext.dim == 4
@@ -176,42 +195,88 @@ def test_m1_filtration_matches_two_generator_structure(representative_resolution
     assert recognize_truncated(ext) is None  # two radical generators
 
 
-def test_equality_case_normalization_records_witness():
-    # A scaled case-9 matrix normalizes to a representative with a witness.
+def test_equality_case_resolved_over_input():
+    # A scaled case-9 matrix is resolved over itself, not over M2.
     m = Mat([[0, 4, 0], [0, 0, 0], [0, 0, 0]])
     res = build_resolution(m)
-    assert res.normalization["representative"] == "M2"
-    assert res.normalization["status"] == "Witness"
+    assert res.spec.m == m
+    assert res.size == 8
+    assert verify_resolution(res.spec, res, dmax=5).passed
 
 
-def test_equality_case_closure_only_normalization():
+def test_equality_case_closure_only_input():
     # Coupled scale constraints d1 = 2 d2^2 = 3 d3^2 force an irrational
-    # ratio; the normalization is only available over the closure, and the
-    # Ext data of the representative is emitted anyway.
+    # ratio, so this matrix is isomorphic to M1 only over the closure.  The
+    # resolution is built over the matrix itself, over Q.
     m = Mat([[0, 2, 3], [0, 0, 0], [0, 0, 0]])
-    from skewdg.qpl import iso_solve
     assert iso_solve(m, SIX_REPRESENTATIVES["M1"]).status == "ClosureOnly"
     res = build_resolution(m)
-    assert res.normalization["status"] == "ClosureOnly"
-    assert res.normalization["representative"] == "M1"
+    assert res.spec.m == m
+    assert res.size == 8
+    assert verify_resolution(res.spec, res, dmax=5).passed
     assert ext_algebra(res).dim == 8
 
 
-def test_eilenberg_moore_agrees_on_flowchart_case():
-    # The generic builder independently reproduces the staircase size.
-    m = Mat([[1, 0, 1], [0, 1, 0], [1, 0, 1]])
-    grid, complete = eilenberg_moore(DgSpec(m), max_size=16)
-    assert complete and len(grid) == 3
-    res = SemifreeResolution(DgSpec(m), grid, None)
-    assert verify_resolution(DgSpec(m), res, dmax=5).passed
+def test_paper_formulas_agree_with_build(subcase_resolutions):
+    # The paper's staircase and quadric formulas (tests/reference_resolution.py)
+    # are an independent route: on every battery matrix and the golden
+    # quadric inputs, their grid verifies and matches the emitted
+    # resolution in size and Ext dimension.
+    built = {}
+    for mats in SUBCASE_BATTERY.values():
+        for rows in mats:
+            data = subcase_resolutions[str(rows)]
+            assert data["verified"].passed, (rows, data["verified"].failures)
+            built[str(rows)] = (Mat(rows), data["resolution"], data["ext_dim"])
+    for name in ("rank1_case4", "rank1_case5", "rank1_case6", "case4_image",
+                 "closure_a", "closure_b", "M6"):
+        m = Mat(GOLDEN_MATRICES[name])
+        res = build_resolution(m)
+        check = verify_resolution(res.spec, res, dmax=5)
+        assert check.passed, (name, check.failures)
+        built[name] = (m, res, ext_algebra(res).dim)
+    assert len(built) == 34
+    for key, (m, res, ext_dim) in built.items():
+        ref, _, _ = reference_resolution(m)
+        check = verify_resolution(ref.spec, ref, dmax=5)
+        assert check.passed, (key, check.failures)
+        assert ref.size == res.size, key
+        assert ext_algebra(ref).dim == ext_dim, key
+
+
+def _random_qpl(rng):
+    # The permutations and scales of acceptance criterion 2.
+    perm = list(range(3))
+    rng.shuffle(perm)
+    scales = tuple(Q(rng.choice([1, 2, 3, -1, -2]), rng.choice([1, 2, 3])) for _ in range(3))
+    return QplMatrix(tuple(perm), scales)
+
+
+def test_resolution_orbit_invariance(subcase_resolutions, representative_resolutions):
+    # Isomorphism classes are chi-orbits, so resolution size and Ext dim are
+    # orbit invariants; every image is resolved over itself and verified.
+    bases = [(name, SIX_REPRESENTATIVES[name], data["resolution"].size, data["ext"].dim)
+             for name, data in representative_resolutions.items()]
+    for sub, mats in SUBCASE_BATTERY.items():
+        data = subcase_resolutions[str(mats[0])]
+        bases.append((sub, Mat(mats[0]), data["resolution"].size, data["ext_dim"]))
+    for rows in ([[0] * 3] * 3, RANK2_NONDEG_INPUTS[0]):
+        res = build_resolution(Mat(rows))
+        bases.append((str(rows), Mat(rows), res.size, ext_algebra(res).dim))
+    rng = random.Random(2009)
+    for name, base, size, ext_dim in bases:
+        for _ in range(2):
+            image = chi(base, _random_qpl(rng))
+            res = build_resolution(image)
+            assert res.spec.m == image, (name, image)
+            check = verify_resolution(res.spec, res, dmax=5)
+            assert check.passed, (name, image, check.failures)
+            assert res.size == size, (name, image)
+            assert ext_algebra(res).dim == ext_dim, (name, image)
 
 
 def test_serialization_roundtrip():
     for entry in ([[1, 1, 1], [1, 1, 1], [1, 1, 1]], [[1, 0, 1], [0, 1, 0], [1, 0, 1]],
                   [[0, 1, 0], [0, 0, 0], [0, 0, 0]]):
-        res = build_resolution(Mat(entry))
-        data = res.as_dict()
-        back = resolution_from_dict(data)
-        again = back.as_dict()
-        for key in ("size", "matrix", "rows", "named_elements", "relation"):
-            assert data.get(key) == again.get(key), key
+        data = build_resolution(Mat(entry)).as_dict()
+        assert resolution_from_dict(data).as_dict() == data
