@@ -64,9 +64,6 @@ PER_INPUT = (
     ["cohomology"],
     ["resolve", "--verify", "5"],
 )
-# ext and report run on every input except those whose Ext-algebra has
-# dimension 8, which take seconds each.
-LARGE_EXT = {"sub_1_2_4", "rank1_case8", "rank1_case9", "M1", "M2", "M4", "rank0"}
 ISO_PAIRS = (
     ("rank1_case4", "case4_image"),  # Witness
     ("closure_a", "closure_b"),  # ClosureOnly
@@ -79,9 +76,8 @@ def invocations():
     for name in MATRICES:
         for argv in PER_INPUT:
             yield name + "." + argv[0], [argv[0], "inputs/%s.json" % name] + argv[1:]
-        if name not in LARGE_EXT:
-            for cmd in ("ext", "report"):
-                yield name + "." + cmd, [cmd, "inputs/%s.json" % name]
+        for cmd in ("ext", "report"):
+            yield name + "." + cmd, [cmd, "inputs/%s.json" % name]
     for a, b in ISO_PAIRS:
         yield "iso.%s.%s" % (a, b), ["iso", "inputs/%s.json" % a, "inputs/%s.json" % b]
 
