@@ -76,6 +76,12 @@ def load_algebra(path: str) -> FinAlg:
         raise InputError("malformed structure file %s: %s" % (path, exc))
 
 
+def nonnegative(value: int, flag: str) -> int:
+    if value < 0:
+        raise InputError("%s must be non-negative, got %d" % (flag, value))
+    return value
+
+
 def emit(record: dict, pretty: bool):
     if pretty:
         print(json.dumps(record, indent=2, sort_keys=True, default=str))
@@ -90,7 +96,7 @@ def cmd_validate(args) -> int:
     m = load_matrix(args.input)
     spec = DgSpec(m)
     n = spec.n
-    max_deg = max(args.max_degree, 0)
+    max_deg = nonnegative(args.max_degree, "--max-degree")
     square_zero = True
     for d in range(max_deg + 1):
         for mono in graded_basis(n, d):
@@ -116,10 +122,8 @@ def cmd_validate(args) -> int:
 
 def cmd_cohomology(args) -> int:
     m = load_matrix(args.input)
-    spec = DgSpec(m)
-    report = spec.cohomology(max(args.max_degree, 2))
-    emit({"check": "cohomology", "dims": report.dims[: args.max_degree + 1],
-          **report.as_dict()}, args.pretty)
+    report = DgSpec(m).cohomology(max(nonnegative(args.max_degree, "--max-degree"), 2))
+    emit({"check": "cohomology", **report.as_dict()}, args.pretty)
     return EXIT_OK
 
 
@@ -161,6 +165,7 @@ def cmd_aut(args) -> int:
 
 def cmd_resolve(args) -> int:
     m = load_matrix(args.input)
+    nonnegative(args.verify, "--verify")
     if m.rows != 3:
         raise UnsupportedCase("resolutions are constructed for n = 3")
     built = build_resolution(m, truncate=args.truncate)
@@ -211,7 +216,8 @@ def cmd_frobenius(args) -> int:
 
 def cmd_report(args) -> int:
     m = load_matrix(args.input)
-    result = analyze(m, dmax=args.max_degree, truncate=args.truncate)
+    result = analyze(m, dmax=nonnegative(args.max_degree, "--max-degree"),
+                     truncate=args.truncate)
     emit({"check": "report", **result.as_dict()}, args.pretty)
     return EXIT_OK if result.consistent else EXIT_INCONSISTENT
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .linalg import Mat, Q, kernel_basis, rank_of_columns, rref, solve_linear
+from .linalg import Mat, Q, column_basis, complement_in, kernel_basis, rank_of_columns, solve_linear
 from .skew import (
     InternalConsistencyError,
     SkewElement,
@@ -142,30 +142,10 @@ class DgSpec:
     def _h2_data(self):
         z2 = kernel_basis(self.boundary_matrix(2))
         bound_cols = self.coboundary_space(2)
-        reps = _complement_in(bound_cols, z2)
+        reps = complement_in(bound_cols, z2)
         h2_cocycles = [element_from_vector(v, self.n, 2) for v in reps]
-        h2_cobounds = [element_from_vector(v, self.n, 2) for v in _column_basis(bound_cols)]
+        h2_cobounds = [element_from_vector(v, self.n, 2) for v in column_basis(bound_cols)]
         return h2_cocycles, h2_cobounds
-
-
-def _column_basis(columns):
-    """Subset of the given columns forming a basis of their span."""
-    if not columns:
-        return []
-    mat = Mat.from_columns(columns)
-    _, _, pivots = rref(mat)
-    return [columns[j] for j in pivots]
-
-
-def _complement_in(span_cols, candidates):
-    """Pick candidates whose classes complete span_cols to span everything."""
-    if not candidates:
-        return []
-    base = list(span_cols)
-    all_cols = base + list(candidates)
-    mat = Mat.from_columns(all_cols)
-    _, _, pivots = rref(mat)
-    return [all_cols[j] for j in pivots if j >= len(base)]
 
 
 @dataclass
@@ -212,7 +192,7 @@ def cup_kernel(spec: DgSpec) -> tuple[list[tuple], int]:
             head = vec[: h * h]
             if any(x != 0 for x in head):
                 relations.append(head)
-        relations = [tuple(v) for v in _column_basis(relations)]
+        relations = [tuple(v) for v in column_basis(relations)]
         relations = [_normalize_head(v) for v in relations]
         rank_joint = h * h + nb - len(kernel_basis(joint))
     else:

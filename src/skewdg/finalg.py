@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .linalg import Mat, Q, frac, kernel_basis, rref, solve_linear
+from .linalg import Mat, Q, column_basis, frac, in_span, kernel_basis, rref
 
 
 class AlgebraError(ValueError):
@@ -22,9 +22,13 @@ class AlgebraError(ValueError):
 
 
 class FinAlg:
-    """Algebra over Q with basis b_0..b_{m-1}: b_i b_j = sum_k c[i][j][k] b_k."""
+    """Algebra over Q with basis b_0..b_{m-1}: b_i b_j = sum_k c[i][j][k] b_k.
 
-    __slots__ = ("dim", "unit", "structure")
+    radical_powers holds the bases of rad, rad^2, ..., ending with the first
+    empty power; it is computed once, when the algebra is built.
+    """
+
+    __slots__ = ("dim", "unit", "structure", "radical_powers")
 
     def __init__(self, dim: int, unit: Sequence, structure):
         object.__setattr__(self, "dim", dim)
@@ -35,6 +39,7 @@ class FinAlg:
         )
         object.__setattr__(self, "structure", table)
         self._validate()
+        object.__setattr__(self, "radical_powers", self._radical_powers())
 
     def __setattr__(self, name, value):
         raise AttributeError("FinAlg is immutable")
@@ -54,52 +59,45 @@ class FinAlg:
 
     @staticmethod
     def from_matrix_algebra(mats: Sequence[Mat]) -> "FinAlg":
-        """Algebra spanned by commuting-closure matrices.
+        """Algebra spanned by linearly independent commuting-closure matrices.
 
         The span must be closed under multiplication and contain the
         identity; violations are reported as internal errors because the
-        callers only pass commutants, which are always closed.
+        callers only pass commutants, which are always closed.  One
+        elimination of [span | identity | all products] gives every
+        coordinate: they are the first dim rows of its reduced form.
         """
         dim = len(mats)
         if dim == 0:
             raise AlgebraError("empty matrix algebra")
         size = mats[0].rows
-        cols = [tuple(mat[i, j] for i in range(size) for j in range(size)) for mat in mats]
-        span = Mat.from_columns(cols)
-        ident = tuple(Q(1) if i == j else Q(0) for i in range(size) for j in range(size))
-        unit, _ = solve_linear(span, ident)
-        if unit is None:
+        ident = [Q(1) if i == j else Q(0) for i in range(size) for j in range(size)]
+        cols = [[x for row in mat.data for x in row] for mat in mats] + [ident]
+        cols += [[x for row in (a * b).data for x in row] for a in mats for b in mats]
+        red, _, pivots = rref(Mat.from_columns(cols))
+        if pivots[:dim] != list(range(dim)):
+            raise AlgebraError("the spanning matrices are linearly dependent")
+        if dim in pivots:
             raise AlgebraError("identity matrix is not in the span")
-        structure = []
-        for a in mats:
-            row = []
-            for b in mats:
-                prod = a * b
-                vec = tuple(prod[i, j] for i in range(size) for j in range(size))
-                coords, _ = solve_linear(span, vec)
-                if coords is None:
-                    raise AlgebraError("matrix span is not multiplicatively closed")
-                row.append(coords)
-            structure.append(row)
-        return FinAlg(dim, unit, structure)
+        if len(pivots) > dim:
+            raise AlgebraError("matrix span is not multiplicatively closed")
+        coords = [red.column(t)[:dim] for t in range(dim, len(cols))]
+        structure = [coords[1 + i * dim: 1 + (i + 1) * dim] for i in range(dim)]
+        return FinAlg(dim, coords[0], structure)
 
     # -- validation -----------------------------------------------------------
 
     def _validate(self):
-        m = self.dim
-        for i in range(m):
-            left = self.multiply(self.unit, self._basis_vec(i))
-            right = self.multiply(self._basis_vec(i), self.unit)
-            if left != self._basis_vec(i) or right != self._basis_vec(i):
+        m, c = self.dim, self.structure
+        basis = [self._basis_vec(i) for i in range(m)]
+        for i, b in enumerate(basis):
+            if self.multiply(self.unit, b) != b or self.multiply(b, self.unit) != b:
                 raise AlgebraError("unit law fails on basis element %d" % i)
-        for i in range(m):
+        # b_i (b_j b_k) = (b_i b_j) b_k, where b_j b_k = c[j][k].
+        for i, b in enumerate(basis):
             for j in range(m):
                 for k in range(m):
-                    lhs = self.multiply(self._basis_vec(i),
-                                        self.multiply(self._basis_vec(j), self._basis_vec(k)))
-                    rhs = self.multiply(self.multiply(self._basis_vec(i), self._basis_vec(j)),
-                                        self._basis_vec(k))
-                    if lhs != rhs:
+                    if self.multiply(b, c[j][k]) != self.multiply(c[i][j], basis[k]):
                         raise AlgebraError(
                             "associativity fails on basis triple (%d, %d, %d)" % (i, j, k))
 
@@ -109,22 +107,17 @@ class FinAlg:
     # -- arithmetic -------------------------------------------------------------
 
     def multiply(self, x: Sequence, y: Sequence) -> tuple:
-        m = self.dim
-        out = [Q(0)] * m
-        for i in range(m):
-            xi = x[i]
-            if xi == 0:
+        out = [Q(0)] * self.dim
+        for xi, row in zip(x, self.structure):
+            if not xi:
                 continue
-            row = self.structure[i]
-            for j in range(m):
-                yj = y[j]
-                if yj == 0:
+            for yj, coeffs in zip(y, row):
+                if not yj:
                     continue
-                coeffs = row[j]
                 c = xi * yj
-                for k in range(m):
-                    if coeffs[k] != 0:
-                        out[k] += c * coeffs[k]
+                for k, ck in enumerate(coeffs):
+                    if ck:
+                        out[k] += c * ck
         return tuple(out)
 
     def left_mult_matrix(self, x: Sequence) -> Mat:
@@ -141,68 +134,50 @@ class FinAlg:
 
     # -- radical / socle ----------------------------------------------------------
 
-    def radical_basis(self) -> list[tuple]:
-        """Basis of the Jacobson radical via the trace form (char 0)."""
-        m = self.dim
-        lm = [self.left_mult_matrix(self._basis_vec(i)) for i in range(m)]
-        gram = Mat([[sum((lm[i] * lm[j])[k, k] for k in range(m)) for j in range(m)]
-                    for i in range(m)])
-        return kernel_basis(gram)
+    def _radical_powers(self) -> tuple:
+        """Bases of rad, rad^2, ..., ending with the first empty power.
+
+        The radical is the kernel of the trace form (char 0), read straight
+        off the structure constants: tr(L_i L_j) = sum_{k,l} c[i][l][k] c[j][k][l].
+        rad^{i+1} is spanned by the products x y with x in rad^i, y in rad.
+        """
+        m, c = self.dim, self.structure
+        gram = Mat([[sum(ci[l][k] * cj[k][l] for k in range(m) for l in range(m) if ci[l][k])
+                     for cj in c] for ci in c])
+        rad = kernel_basis(gram)
+        powers = [rad]
+        while powers[-1]:
+            powers.append(column_basis([self.multiply(x, y) for x in powers[-1] for y in rad]))
+        return tuple(tuple(p) for p in powers)
 
     def is_local(self) -> bool:
-        return len(self.radical_basis()) == self.dim - 1
+        return len(self.radical_powers[0]) == self.dim - 1
 
     def radical_filtration(self) -> list[int]:
         """Dimensions of rad^i / rad^{i+1}, starting with i = 0 (the quotient
         by the radical itself)."""
-        layers = [self.dim]
-        power = self.radical_basis()
-        rad = list(power)
-        while power:
-            layers.append(len(power))
-            nxt_span = []
-            for x in power:
-                for y in rad:
-                    nxt_span.append(self.multiply(x, y))
-            power = _span_basis(nxt_span)
-        return [layers[i] - (layers[i + 1] if i + 1 < len(layers) else 0)
-                for i in range(len(layers))]
+        sizes = [self.dim] + [len(p) for p in self.radical_powers]
+        return [a - b for a, b in zip(sizes, sizes[1:])]
 
     def socle_basis(self) -> list[tuple]:
-        """{x : x rad = rad x = 0}, computed inside the whole algebra."""
+        """{x : x rad = rad x = 0}, the kernel of the stacked L_r and R_r.
+
+        In a local algebra of dimension > 1 that kernel already lies in rad,
+        so it is not intersected with rad: for x = c 1 + y with y in rad,
+        x r = 0 for some r in rad outside rad^2 gives c r = -y r in rad^2,
+        so c = 0.
+        """
         if not self.is_local():
             raise AlgebraError("socle criterion applies to local algebras only")
-        rad = self.radical_basis()
         m = self.dim
         rows = []
-        for r in rad:
-            lm = self.left_mult_matrix(r)
-            rm_cols = [self.multiply(self._basis_vec(j), r) for j in range(m)]
-            rm = Mat.from_columns(rm_cols)
-            rows.extend(lm.data)
-            rows.extend(rm.data)
+        for r in self.radical_powers[0]:
+            rows.extend(self.left_mult_matrix(r).data)
+            rows.extend(Mat.from_columns([self.multiply(self._basis_vec(j), r)
+                                          for j in range(m)]).data)
         if not rows:
             return [self._basis_vec(i) for i in range(m)]
-        sol = kernel_basis(Mat(rows))
-        # The socle is taken inside the radical (the unit direction always
-        # survives multiplication, so intersect with the radical span).
-        rad_mat = Mat.from_columns(rad) if rad else None
-        out = []
-        for v in sol:
-            if rad_mat is None:
-                continue
-            coords, _ = solve_linear(rad_mat, v)
-            if coords is not None:
-                out.append(v)
-        return out
-
-
-def _span_basis(vectors) -> list[tuple]:
-    vecs = [tuple(v) for v in vectors if any(x != 0 for x in v)]
-    if not vecs:
-        return []
-    _, _, pivots = rref(Mat.from_columns(vecs))
-    return [vecs[p] for p in pivots]
+        return kernel_basis(Mat(rows))
 
 
 def sklyanin_e(lam, mu, nu) -> FinAlg:
@@ -250,21 +225,17 @@ class FrobeniusVerdict:
 
 
 def _gram(e: FinAlg, functional: Sequence) -> Mat:
-    m = e.dim
-    return Mat([
-        [sum(f * c for f, c in zip(functional, e.multiply(e._basis_vec(i), e._basis_vec(j))))
-         for j in range(m)] for i in range(m)
-    ])
+    return Mat([[sum(f * c for f, c in zip(functional, row[j])) for j in range(e.dim)]
+                for row in e.structure])
 
 
 def _commutator_annihilator(e: FinAlg) -> list[tuple]:
     """Functionals vanishing on all commutators b_i b_j - b_j b_i."""
-    m = e.dim
+    m, c = e.dim, e.structure
     rows = []
     for i in range(m):
         for j in range(i + 1, m):
-            diff = [a - b for a, b in zip(e.multiply(e._basis_vec(i), e._basis_vec(j)),
-                                          e.multiply(e._basis_vec(j), e._basis_vec(i)))]
+            diff = [a - b for a, b in zip(c[i][j], c[j][i])]
             if any(diff):
                 rows.append(diff)
     if not rows:
@@ -315,21 +286,9 @@ def recognize_truncated(e: FinAlg) -> Optional[int]:
     filtration = e.radical_filtration()
     if len(filtration) < 2 or filtration[1] != 1:
         return None if e.dim > 1 else 1
-    rad = e.radical_basis()
     # A lift of the rad/rad^2 generator: any radical element outside rad^2.
-    rad2 = _span_basis([e.multiply(x, y) for x in rad for y in rad])
-    gen = None
-    for v in rad:
-        cols = Mat.from_columns(rad2) if rad2 else None
-        if cols is None:
-            gen = v
-            break
-        coords, _ = solve_linear(cols, v)
-        if coords is None:
-            gen = v
-            break
-    if gen is None:
-        return None
+    rad, rad2 = e.radical_powers[0], e.radical_powers[1]
+    gen = next(v for v in rad if not in_span(rad2, v))
     power = gen
     for _ in range(e.dim - 2):
         power = e.multiply(power, gen)

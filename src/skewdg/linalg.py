@@ -97,8 +97,16 @@ class Mat:
         if isinstance(other, Mat):
             if self.cols != other.rows:
                 raise ValueError("dimension mismatch")
-            cols = other.transpose().data
-            return Mat([[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.data])
+            out = []
+            for row in self.data:  # zero terms are skipped
+                acc = [0] * other.cols
+                for a, orow in zip(row, other.data):
+                    if a:
+                        for j, b in enumerate(orow):
+                            if b:
+                                acc[j] += a * b
+                out.append(acc)
+            return Mat(out)
         c = frac(other)
         return Mat([[c * x for x in row] for row in self.data])
 
@@ -308,10 +316,26 @@ def in_span(vectors: Sequence[Sequence], v: Sequence) -> bool:
     return particular is not None
 
 
-def rank_of_columns(columns: Sequence[Sequence]) -> int:
+def _column_pivots(columns: Sequence[Sequence]) -> list[int]:
     if not columns:
-        return 0
-    return int_rank(_int_rows([[frac(c[i]) for c in columns] for i in range(len(columns[0]))]))
+        return []
+    return _echelon(_int_rows(Mat.from_columns(columns).data))[1]
+
+
+def rank_of_columns(columns: Sequence[Sequence]) -> int:
+    return len(_column_pivots(columns))
+
+
+def column_basis(columns: Sequence[Sequence]) -> list:
+    """The pivot columns: a basis of the span, taken from the given columns."""
+    return [columns[j] for j in _column_pivots(columns)]
+
+
+def complement_in(span_cols: Sequence[Sequence], candidates: Sequence[Sequence]) -> list:
+    """The candidates at the pivots of [span_cols | candidates]: their classes
+    complete the span of span_cols to the span of both."""
+    cols = list(span_cols) + list(candidates)
+    return [cols[j] for j in _column_pivots(cols) if j >= len(span_cols)]
 
 
 # ---------------------------------------------------------------------------

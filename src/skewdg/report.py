@@ -68,6 +68,8 @@ def analyze(m: Mat, dmax: int = 6, verify_depth: int = 4, truncate: int = 8) -> 
     n = m.rows
     if n not in (2, 3):
         raise UnsupportedCase("reports cover n = 2 and n = 3")
+    if dmax < 0:
+        raise ValueError("dmax must be non-negative")
     spec = DgSpec(m)
     brute = spec.cohomology(max(dmax, 2))
     payload = {

@@ -15,7 +15,7 @@ from typing import Optional
 from .classify import CaseLabel, classify, quadric_coefficients, theorem_c
 from .dg import DgSpec, InternalConsistencyError
 from .finalg import FinAlg
-from .linalg import Mat, Q, _int_rows, frac, int_rank, kernel_basis, rref
+from .linalg import Mat, Q, _int_rows, complement_in, frac, int_rank, kernel_basis
 from .skew import SkewElement, graded_basis, parse_element
 
 
@@ -86,15 +86,15 @@ def _complex_map_rows(spec: DgSpec, rows, degree: int):
     sign = -1 if degree % 2 else 1
     ncols = m * len(src)
     out = [[Q(0)] * ncols for _ in range(m * len(dst))]
-    diff_cache = {}
+    # The d_A block of each summand e_j is the boundary matrix of A.
+    bnd = spec.boundary_matrix(degree).data
+    for j in range(m):
+        for r, brow in enumerate(bnd):
+            out[j * len(dst) + r][j * len(src): (j + 1) * len(src)] = brow
     for si, mono in enumerate(src):
         elt = SkewElement(n, {mono: Q(1)})
-        dmono = spec.differential(elt)
-        diff_cache[mono] = dmono
         for j in range(m):
             col = j * len(src) + si
-            for mo, c in dmono.terms.items():
-                out[j * len(dst) + dst_index[mo]][col] += c
             for l in range(j):
                 entry = rows[j][l]
                 if entry.is_zero():
@@ -152,6 +152,8 @@ def verify_resolution(spec: DgSpec, res: SemifreeResolution, dmax: int = 5) -> V
     Exactness means dim H^0(F) = 1 and H^i(F) = 0 for 1 <= i <= dmax - 1.
     Failures carry the offending indices so a falsified claim is precise.
     """
+    if dmax < 1:
+        raise ValueError("dmax must be at least 1")
     rows = res.d
     m = len(rows)
     failures = []
@@ -209,20 +211,8 @@ def _h1_representatives(spec: DgSpec, rows):
             for i, mono in enumerate(basis1):
                 col[l * n + i] = rows[j][l].terms.get(mono, Q(0))
         bound.append(tuple(col))
-    all_cols = [c for c in bound if any(x != 0 for x in c)] + list(cocycles)
-    if not all_cols:
-        return []
-    _, _, pivots = rref(Mat.from_columns(all_cols))
-    nb = len([c for c in bound if any(x != 0 for x in c)])
-    reps = []
-    for p in pivots:
-        if p >= nb:
-            vec = all_cols[p]
-            coeffs = []
-            for j in range(m):
-                coeffs.append(SkewElement(n, {mono: vec[j * n + i] for i, mono in enumerate(basis1)}))
-            reps.append(coeffs)
-    return reps
+    return [[SkewElement(n, {mono: vec[j * n + i] for i, mono in enumerate(basis1)})
+             for j in range(m)] for vec in complement_in(bound, cocycles)]
 
 
 def _square_grid(spec: DgSpec, rows) -> list:

@@ -17,6 +17,15 @@ from skewdg.finalg import (
 from skewdg.linalg import Mat
 from skewdg.resolution import build_resolution, ext_algebra, published_resolution
 
+from reference_finalg import (
+    ref_frobenius,
+    ref_is_local,
+    ref_radical_basis,
+    ref_radical_filtration,
+    ref_recognize_truncated,
+    ref_socle_basis,
+)
+
 
 def truncated_poly(m):
     """Structure constants of k[x]/(x^m) on the basis 1, x, ..., x^{m-1}."""
@@ -151,3 +160,77 @@ def test_flat_roundtrip():
     flat = [structure[i][j][k] for i in range(dim) for j in range(dim) for k in range(dim)]
     alg = FinAlg.from_flat(dim, unit, flat)
     assert recognize_truncated(alg) == 3
+
+
+def _unit_matrices(size, cells):
+    return [Mat([[1 if (i, j) == cell else 0 for j in range(size)] for i in range(size)])
+            for cell in cells]
+
+
+def _reference_algebras(subcase_resolutions, representative_resolutions):
+    """(name, algebra) pairs: local and non-local, commutative and not."""
+    for m in range(1, 9):
+        yield "k[x]/(x^%d)" % m, FinAlg(*truncated_poly(m))
+    rng = random.Random(61)
+    for params in ((0, 0, 0), (1, 1, 0), (1, 1, 1), (1, 2, 1), (2, -1, 3)):
+        base = sklyanin_e(*params)
+        yield "sklyanin%s" % (params,), base
+        while True:
+            p = Mat([[rng.randint(-2, 2) for _ in range(4)] for _ in range(4)])
+            if p.det() != 0:
+                break
+        yield "sklyanin%s changed" % (params,), _change(base, p, p.inverse())[0]
+    for key, data in subcase_resolutions.items():
+        if key != "_elapsed":
+            yield "ext " + key, data["ext"]
+    for name, data in representative_resolutions.items():
+        yield "ext " + name, data["ext"]
+    for name in ("M2", "M5"):
+        yield "published ext " + name, ext_algebra(published_resolution(name))
+    yield "k x k", FinAlg(2, (1, 1), [[[1, 0], [0, 0]], [[0, 0], [0, 1]]])
+    # Basis (1, 0), (x, 0), (0, 1) of k[x]/(x^2) x k.
+    structure = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    structure[0][0] = [1, 0, 0]
+    structure[0][1] = structure[1][0] = [0, 1, 0]
+    structure[2][2] = [0, 0, 1]
+    yield "k[x]/(x^2) x k", FinAlg(3, (1, 0, 1), structure)
+    yield "M_2(k)", FinAlg.from_matrix_algebra(
+        _unit_matrices(2, [(0, 0), (0, 1), (1, 0), (1, 1)]))
+    yield "upper triangular", FinAlg.from_matrix_algebra(
+        _unit_matrices(2, [(0, 0), (0, 1), (1, 1)]))
+    # k + strictly upper triangular 3 x 3: local and not commutative, with a
+    # one-sided annihilator of rad larger than the socle.
+    yield "unipotent 3 x 3", FinAlg.from_matrix_algebra(
+        [Mat.identity(3)] + _unit_matrices(3, [(0, 1), (0, 2), (1, 2)]))
+
+
+def test_radical_series_matches_reference(subcase_resolutions, representative_resolutions):
+    seen = set()
+    for name, alg in _reference_algebras(subcase_resolutions, representative_resolutions):
+        rad = ref_radical_basis(alg)
+        assert list(alg.radical_powers[0]) == rad, name
+        assert radical_filtration(alg) == ref_radical_filtration(alg, rad), name
+        assert alg.is_local() == ref_is_local(alg, rad), name
+        if alg.is_local():
+            ref_socle = ref_socle_basis(alg, rad)
+            assert alg.socle_basis() == ref_socle and socle_dim(alg) == len(ref_socle), name
+        assert recognize_truncated(alg) == ref_recognize_truncated(alg, rad), name
+        assert frobenius(alg).as_dict() == ref_frobenius(alg, rad), name
+        seen.add((alg.is_local(), alg.is_commutative()))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_matrix_algebra_without_identity():
+    with pytest.raises(AlgebraError, match="identity matrix is not in the span"):
+        FinAlg.from_matrix_algebra(_unit_matrices(2, [(0, 0)]))
+
+
+def test_matrix_algebra_not_closed():
+    mats = [Mat.identity(2)] + _unit_matrices(2, [(0, 1), (1, 0)])
+    with pytest.raises(AlgebraError, match="not multiplicatively closed"):
+        FinAlg.from_matrix_algebra(mats)
+
+
+def test_matrix_algebra_dependent_span():
+    with pytest.raises(AlgebraError, match="linearly dependent"):
+        FinAlg.from_matrix_algebra([Mat.identity(2), Mat.identity(2)])

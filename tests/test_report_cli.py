@@ -7,6 +7,7 @@ import pytest
 from skewdg.cli import main
 from skewdg.linalg import Mat
 from skewdg.report import analyze, n2_presentation
+from skewdg.resolution import build_resolution, verify_resolution
 
 
 def write_matrix(tmp_path, name, rows, n=3):
@@ -95,7 +96,18 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["resolve", n2]) == 2
     for command in ("report", "iso", "aut"):
         assert main([command, n4] + ([n4] if command == "iso" else [])) == 2, command
-    capsys.readouterr()
+    # Negative depths are bad input, not an empty check that passes.
+    for command in ("validate", "cohomology", "report"):
+        assert main([command, n3, "--max-degree", "-1"]) == 1, command
+    assert main(["resolve", n3, "--verify", "-1"]) == 1
+    assert main(["resolve", n3, "--verify", "0"]) == 0
+    assert "verification" not in json.loads(capsys.readouterr().out.splitlines()[-1])
+    m3 = Mat([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+    res = build_resolution(m3)
+    with pytest.raises(ValueError, match="dmax"):
+        verify_resolution(res.spec, res, dmax=0)
+    with pytest.raises(ValueError, match="dmax"):
+        analyze(m3, dmax=-1)
 
     # A ValueError raised inside the library is a bug, not bad input: it
     # propagates with its traceback instead of becoming exit code 1.
