@@ -23,8 +23,16 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 
 CASE_4 = [[1, 1, 1], [1, 1, 1], [-1, -1, -1]]
 
+
+def _image(rows, permutation, scales):
+    """chi(rows, C) as strings, for C with the given permutation and scales."""
+    return [[str(x) for x in row] for row in
+            chi(Mat(rows), QplMatrix(permutation, scales)).data]
+
+
 # One matrix per taxonomy leaf, the six equality representatives, a NOT_CY
-# matrix, an n = 2 case and the images used by the isomorphism pairs.
+# matrix, an n = 2 case, the images used by the isomorphism pairs, three more
+# chi-images with non-integer entries, and one n = 4 and one n = 5 input.
 MATRICES = {
     "rank3": [[1, -1, 0], [1, 1, 1], [1, -1, 1]],
     "rank2_nondeg": [[1, 0, 0], [0, 1, 0], [0, 0, 0]],
@@ -51,10 +59,14 @@ MATRICES = {
     "not_cy": [[1, 1, 1], [1, 1, 1], [2, 2, 2]],
     "n2": [[0, 1], [0, 0]],
     "n2_image": [[0, "1/3"], [0, 0]],
-    "case4_image": [[str(x) for x in row] for row in
-                    chi(Mat(CASE_4), QplMatrix((1, 2, 0), (2, -1, "1/3"))).data],
+    "case4_image": _image(CASE_4, (1, 2, 0), (2, -1, "1/3")),
     "closure_a": [[1, 1, 0], [0, 0, 0], [0, 0, 0]],
     "closure_b": [[1, 2, 0], [0, 0, 0], [0, 0, 0]],
+    "M1_image": _image([[0, 1, 1], [0, 0, 0], [0, 0, 0]], (2, 0, 1), (2, -1, "1/3")),
+    "sub_1_2_4_image": _image([[0, 1, 1], [0, 0, 1], [0, 0, 0]], (0, 2, 1), (3, "1/2", 2)),
+    "not_cy_image": _image([[1, 1, 1], [1, 1, 1], [2, 2, 2]], (1, 0, 2), ("1/2", 3, -1)),
+    "n4": [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 1]],
+    "n5": [[1, 1, 0, 0, 0], [0, 1, 1, 0, 0], [0, 0, 1, 1, 0], [0, 0, 0, 1, 1], [0, 0, 0, 0, 0]],
 }
 
 PER_INPUT = (
