@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .dg import DgSpec, InternalConsistencyError
-from .linalg import Mat, Q, _int_rows, int_rank, kernel_basis, solve_linear
+from .linalg import Mat, Q, kernel_basis, solve_linear, sparse_rank
 from .qpl import QplMatrix, chi
 
 RANK3 = "Rank3"
@@ -399,11 +399,10 @@ def presented_dims(pres: GradedPresentation, dmax: int) -> list[int]:
                     continue
                 for left in words_by_degree[a]:
                     for right in words_by_degree[b]:
-                        row = [0] * len(words)
+                        row = {}
                         for coeff, w in rel:
-                            row[index[left + w + right]] += coeff
-                        if any(row):
-                            rows.append(row)
-        rank = int_rank(_int_rows(rows)) if rows else 0
-        dims.append(len(words) - rank)
+                            k = index[left + w + right]
+                            row[k] = row.get(k, 0) + coeff
+                        rows.append({k: c for k, c in row.items() if c})
+        dims.append(len(words) - sparse_rank(rows))
     return dims

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .linalg import Mat, Q, column_basis, complement_in, kernel_basis, rank_of_columns, solve_linear
+from .linalg import (Mat, column_basis, complement_in, kernel_basis, rank_of_columns,
+                     solve_linear, sparse_rank)
 from .skew import (
     InternalConsistencyError,
     SkewElement,
@@ -24,7 +25,7 @@ from .skew import (
 class DgSpec:
     """The DG algebra on O_{-1}(k^n) determined by an n x n matrix."""
 
-    __slots__ = ("n", "m", "_bnd_cache")
+    __slots__ = ("n", "m", "_bnd_cache", "_img_cache")
 
     def __init__(self, m: Mat):
         if m.rows != m.cols:
@@ -32,6 +33,7 @@ class DgSpec:
         object.__setattr__(self, "n", m.rows)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "_bnd_cache", {})
+        object.__setattr__(self, "_img_cache", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("DgSpec is immutable")
@@ -44,42 +46,50 @@ class DgSpec:
 
     # -- the differential ----------------------------------------------------
 
-    def differential(self, u: SkewElement) -> SkewElement:
-        """Apply the degree +1 differential to an element.
+    def _monomial_image(self, mono):
+        """The terms (monomial, coefficient) of the differential of a normal
+        monomial.
 
-        On a normal monomial the letters are differentiated in place with
-        alternating signs; a letter with even exponent contributes nothing
-        because the signs cancel in pairs, and x_j^2 is central so the
-        replacement lands back in normal form directly.
+        The letters are differentiated in place with alternating signs; a
+        letter with even exponent contributes nothing because the signs
+        cancel in pairs, and x_j^2 is central so the replacement lands back
+        in normal form directly.  The monomials are distinct, because
+        mono / x_i * x_j^2 determines i and j, so each coefficient is
+        +-M[i][j].
         """
-        if u.n != self.n:
-            raise ValueError("element has wrong variable count")
-        n = self.n
-        rows = self.m.data
-        terms = {}
-        for mono, coeff in u.terms.items():
-            prefix = 0
-            for i in range(n):
-                a_i = mono[i]
-                if a_i % 2:
-                    sign = -1 if prefix % 2 else 1
-                    for j in range(n):
-                        mij = rows[i][j]
-                        if mij == 0:
-                            continue
+        prefix = 0
+        for i, a_i in enumerate(mono):
+            if a_i % 2:
+                for j, mij in enumerate(self.m.data[i]):
+                    if mij:
                         new = list(mono)
                         new[i] -= 1
                         new[j] += 2
-                        key = tuple(new)
-                        c = terms.get(key, Q(0)) + sign * coeff * mij
-                        if c == 0:
-                            terms.pop(key, None)
-                        else:
-                            terms[key] = c
-                prefix += a_i
-        return SkewElement(n, terms)
+                        yield tuple(new), (-mij if prefix % 2 else mij)
+            prefix += a_i
+
+    def differential(self, u: SkewElement) -> SkewElement:
+        """Apply the degree +1 differential to an element."""
+        if u.n != self.n:
+            raise ValueError("element has wrong variable count")
+        return SkewElement(self.n, [(key, coeff * c) for mono, coeff in u.terms.items()
+                                    for key, c in self._monomial_image(mono)])
 
     # -- boundary matrices and cohomology -------------------------------------
+
+    def images(self, d: int) -> list[dict]:
+        """The differential A^d -> A^{d+1} as sparse columns: for each
+        monomial of graded_basis(n, d), its image {index in
+        graded_basis(n, d+1): nonzero coefficient}."""
+        if d < 0:
+            raise ValueError("negative degree")
+        cached = self._img_cache.get(d)
+        if cached is None:
+            index = {m: i for i, m in enumerate(graded_basis(self.n, d + 1))}
+            cached = [{index[m]: c for m, c in self._monomial_image(mono)}
+                      for mono in graded_basis(self.n, d)]
+            self._img_cache[d] = cached
+        return cached
 
     def boundary_matrix(self, d: int) -> Mat:
         """Matrix of the differential A^d -> A^{d+1}.
@@ -88,24 +98,11 @@ class DgSpec:
         yields coefficients in graded_basis(n, d+1) order.  For d = 1 the
         nonzero block is M^T acting on the x_j^2 coordinates.
         """
-        if d < 0:
-            raise ValueError("negative degree")
         cached = self._bnd_cache.get(d)
-        if cached is not None:
-            return cached
-        src = graded_basis(self.n, d)
-        dst = graded_basis(self.n, d + 1)
-        index = {m: i for i, m in enumerate(dst)}
-        cols = []
-        for mono in src:
-            img = self.differential(SkewElement(self.n, {mono: Q(1)}))
-            col = [Q(0)] * len(dst)
-            for m, c in img.terms.items():
-                col[index[m]] = c
-            cols.append(col)
-        mat = Mat.from_columns(cols) if cols else Mat.zero(len(dst), 0)
-        self._bnd_cache[d] = mat
-        return mat
+        if cached is None:
+            cached = Mat.from_sparse_columns(self.images(d), len(graded_basis(self.n, d + 1)))
+            self._bnd_cache[d] = cached
+        return cached
 
     def coboundary_space(self, d: int) -> list[tuple]:
         """Spanning columns of B^d = im(A^{d-1} -> A^d) in basis coordinates."""
@@ -128,9 +125,8 @@ class DgSpec:
         if dmax < 2:
             raise ValueError("dmax must be at least 2")
         dims = []
-        ranks = []
-        for d in range(dmax + 1):
-            ranks.append(self.boundary_matrix(d).rank())
+        # rank(B^T) = rank(B): each image is one row of the transpose.
+        ranks = [sparse_rank(self.images(d)) for d in range(dmax + 1)]
         for d in range(dmax + 1):
             total = len(graded_basis(self.n, d))
             prev = ranks[d - 1] if d > 0 else 0

@@ -1,6 +1,7 @@
 """Exact linear algebra over the rationals.
 
-Dense matrices with ``fractions.Fraction`` entries.  Everything here is
+Dense matrices with ``fractions.Fraction`` entries, and one elimination
+core on sparse integer rows ``{column: nonzero int}``.  Everything here is
 exact: no floating point, no finite fields.  Matrices are immutable after
 construction and all operations are pure functions, so values can be shared
 freely.
@@ -35,9 +36,19 @@ class Mat:
                 raise ValueError("ragged rows")
         else:
             width = 0
+        self._set(data, width)
+
+    def _set(self, data: tuple, width: int):
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "rows", len(data))
         object.__setattr__(self, "cols", width)
+
+    @staticmethod
+    def _exact(rows: Iterable[Sequence[Fraction]], width: int) -> "Mat":
+        """A Mat over rows of `width` entries that are already Fractions."""
+        mat = object.__new__(Mat)
+        mat._set(tuple(map(tuple, rows)), width)
+        return mat
 
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
@@ -56,6 +67,17 @@ class Mat:
             return Mat([])
         height = len(columns[0])
         return Mat([[columns[j][i] for j in range(len(columns))] for i in range(height)])
+
+    @staticmethod
+    def from_sparse_columns(columns: Sequence[dict], height: int) -> "Mat":
+        """The height x len(columns) matrix whose column j has the Fraction
+        entries {row: value} of columns[j] and zeros elsewhere."""
+        zero = Q(0)
+        data = [[zero] * len(columns) for _ in range(height)]
+        for j, col in enumerate(columns):
+            for i, x in col.items():
+                data[i][j] = x
+        return Mat._exact(data, len(columns))
 
     def __getitem__(self, ij):
         i, j = ij
@@ -146,115 +168,128 @@ class Mat:
         return Mat([row[n:] for row in red.data])
 
     def rank(self) -> int:
-        return int_rank(_int_rows(self.data))
+        return len(_echelon(_int_rows(self.data))[1])
 
 
 # ---------------------------------------------------------------------------
-# The elimination core.  Rows are cleared of denominators and reduced by
-# fraction-free integer elimination; rank, rref (and through it kernels,
-# solutions and inverses) and det all read off the same echelon.
+# The elimination core.  Rows are sparse integer rows {column: nonzero int}:
+# rational rows are cleared of denominators, then reduced by fraction-free
+# integer elimination; rank, rref (and through it kernels, solutions and
+# inverses) and det all read off the same echelon.
 # ---------------------------------------------------------------------------
 
 
-def _int_rows(data) -> list[list[int]]:
-    """Each row times the lcm of its denominators: same row space, integers."""
-    rows = []
-    for row in data:
-        denom = lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (denom // x.denominator) for x in row])
-    return rows
+def _integral(row: dict) -> dict[int, int]:
+    """A sparse rational row times the lcm of its denominators."""
+    denom = lcm(*(x.denominator for x in row.values()))
+    return {j: x.numerator * (denom // x.denominator) for j, x in row.items()}
 
 
-def _echelon(rows: list[list[int]]):
-    """Row echelon form of an integer matrix by fraction-free elimination.
+def _int_rows(data) -> list[dict[int, int]]:
+    """Dense rational rows as sparse integer rows with the same row space:
+    zeros are skipped and each row is scaled by the lcm of the denominators
+    of its nonzero entries."""
+    return [_integral({j: x for j, x in enumerate(row) if x}) for row in data]
+
+
+def _combine(row: dict, x: int, prow: dict, pval: int) -> tuple[dict, int]:
+    """(pval*row - x*prow) divided by its content g, and g (0 for a zero
+    result).  x and pval are the entries of row and prow in a shared column,
+    which therefore cancels."""
+    new = {j: pval * a for j, a in row.items()}
+    for j, b in prow.items():
+        t = new.get(j, 0) - x * b
+        if t:
+            new[j] = t
+        else:  # x*b != 0, so j was in new
+            del new[j]
+    g = gcd(*new.values())
+    if g > 1:
+        new = {j: t // g for j, t in new.items()}
+    return new, g
+
+
+def _echelon(rows: list[dict[int, int]]):
+    """Row echelon form of sparse integer rows by fraction-free elimination.
 
     Returns (echelon, pivots, (num, den)): the nonzero echelon rows, their
     pivot columns in increasing order, and a factor such that a square input
     of full rank has determinant num/den times the product of the pivots.
 
-    Each step takes a pivot of least magnitude.  Rows with a zero in the
-    pivot column are left alone, which matters for the sparse boundary
-    matrices of the complex machinery; every updated row is divided by its
-    content to keep entries small, and zero rows are dropped.
+    Each step takes the least column any remaining row starts in, and a pivot
+    of least magnitude there.  Rows that do not start in the pivot column are
+    left alone, every updated row is divided by its content to keep entries
+    small, and zero rows are dropped.  The input rows are not modified.
     """
-    work = [row[:] for row in rows if any(row)]
-    if not work:
-        return [], [], (1, 1)
-    ncols = len(work[0])
+    work = [row for row in rows if row]
+    leads = [min(row) for row in work]
     pivots = []
     num = den = 1
     rank = 0
-    col = 0
-    while col < ncols and rank < len(work):
-        piv = None
-        best = None
+    while rank < len(work):
+        col = min(leads[rank:])
+        piv = best = None
         for i in range(rank, len(work)):
-            x = work[i][col]
-            if x != 0 and (best is None or abs(x) < best):
-                piv, best = i, abs(x)
-                if best == 1:
-                    break
-        if piv is None:
-            col += 1
-            continue
+            if leads[i] == col:
+                x = abs(work[i][col])
+                if best is None or x < best:
+                    piv, best = i, x
+                    if x == 1:
+                        break
         if piv != rank:
             work[rank], work[piv] = work[piv], work[rank]
+            leads[rank], leads[piv] = leads[piv], leads[rank]
             num = -num
         prow = work[rank]
         pval = prow[col]
         zeroed = False
         for i in range(rank + 1, len(work)):
-            x = work[i][col]
-            if x == 0:
+            if leads[i] != col:
                 continue
-            row = work[i]
-            new = [pval * a - x * b for a, b in zip(row, prow)]
-            g = 0
-            for t in new:
-                if t:
-                    g = gcd(g, t)
-                    if g == 1:
-                        break
-            if g == 0:
-                zeroed = True
-            elif g > 1:
-                new = [t // g for t in new]
+            new, g = _combine(work[i], work[i][col], prow, pval)
+            if g:
                 num *= g
+                leads[i] = min(new)
+            else:
+                zeroed = True
             den *= pval
             work[i] = new
         if zeroed:  # only an updated row can have become zero
-            work = [row for row in work if any(row)]
+            keep = [i for i, row in enumerate(work) if row]
+            work = [work[i] for i in keep]
+            leads = [leads[i] for i in keep]
         pivots.append(col)
         rank += 1
-        col += 1
     return work, pivots, (num, den)
 
 
-def int_rank(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix."""
-    return len(_echelon(rows)[1])
+def sparse_rank(rows: Iterable[dict]) -> int:
+    """Rank of sparse rational rows {column: nonzero coefficient}."""
+    return len(_echelon([_integral(row) for row in rows])[1])
 
 
 def rref(a: Mat) -> tuple[Mat, int, list[int]]:
     """Reduced row echelon form: (reduced, rank, pivot_columns).
 
-    Integer back-substitution on the echelon clears each pivot column above
-    its pivot; one division per entry then makes the pivots 1.
+    Sparse integer back-substitution on the echelon clears each pivot column
+    above its pivot; one division per nonzero entry then makes the pivots 1.
     """
     rows, pivots, _ = _echelon(_int_rows(a.data))
     for k in range(len(pivots) - 1, 0, -1):
         prow, p = rows[k], pivots[k]
-        pval = prow[p]
         for i in range(k):
-            x = rows[i][p]
-            if x == 0:
-                continue
-            new = [pval * s - x * t for s, t in zip(rows[i], prow)]
-            g = gcd(*new)
-            rows[i] = [t // g for t in new]
-    red = [[Q(x, row[p]) for x in row] for row, p in zip(rows, pivots)]
-    red += [[0] * a.cols] * (a.rows - len(pivots))
-    return Mat(red), len(pivots), pivots
+            x = rows[i].get(p)
+            if x:
+                rows[i] = _combine(rows[i], x, prow, prow[p])[0]
+    zero = Q(0)
+    red = []
+    for row, p in zip(rows, pivots):
+        dense = [zero] * a.cols
+        for j, x in row.items():
+            dense[j] = Q(x, row[p])
+        red.append(dense)
+    red += [[zero] * a.cols] * (a.rows - len(pivots))
+    return Mat._exact(red, a.cols), len(pivots), pivots
 
 
 def _kernel_from_rref(red: Mat, pivots: list[int], ncols: int) -> list[tuple]:

@@ -14,9 +14,9 @@ from typing import Optional
 
 from .classify import CaseLabel, classify, quadric_coefficients, theorem_c
 from .dg import DgSpec, InternalConsistencyError
-from .finalg import FinAlg
-from .linalg import Mat, Q, _int_rows, complement_in, frac, int_rank, kernel_basis
-from .skew import SkewElement, graded_basis, parse_element
+from .finalg import AlgebraError, FinAlg
+from .linalg import Mat, Q, complement_in, frac, kernel_basis, sparse_rank
+from .skew import SkewElement, graded_basis, mono_mul, parse_element
 
 
 class UnsupportedCase(ValueError):
@@ -76,45 +76,40 @@ class InfinitePattern:
 # -- the complex F = A (x) k^m and its cohomology -------------------------------
 
 
-def _complex_map_rows(spec: DgSpec, rows, degree: int):
-    """Integer matrix of d_F : F^degree -> F^{degree+1} (columns = source)."""
+def _complex_columns(spec: DgSpec, rows, degree: int) -> list[dict]:
+    """d_F : F^degree -> F^{degree+1} as sparse columns.
+
+    Column j*|src| + s is the image of (monomial s) e_j, keyed by target
+    index l*|dst| + (monomial index): its e_j block is the image of the
+    monomial under d_A, and its e_l block for l < j is (-1)^degree times
+    the monomial times d[j][l].
+    """
     n = spec.n
-    m = len(rows)
     src = graded_basis(n, degree)
-    dst = graded_basis(n, degree + 1)
-    dst_index = {mono: i for i, mono in enumerate(dst)}
+    dst_index = {mono: i for i, mono in enumerate(graded_basis(n, degree + 1))}
+    ndst = len(dst_index)
     sign = -1 if degree % 2 else 1
-    ncols = m * len(src)
-    out = [[Q(0)] * ncols for _ in range(m * len(dst))]
-    # The d_A block of each summand e_j is the boundary matrix of A.
-    bnd = spec.boundary_matrix(degree).data
-    for j in range(m):
-        for r, brow in enumerate(bnd):
-            out[j * len(dst) + r][j * len(src): (j + 1) * len(src)] = brow
-    for si, mono in enumerate(src):
-        elt = SkewElement(n, {mono: Q(1)})
-        for j in range(m):
-            col = j * len(src) + si
+    images = spec.images(degree)
+    cols = []
+    for j, row in enumerate(rows):
+        for mono, image in zip(src, images):
+            col = {j * ndst + r: c for r, c in image.items()}
             for l in range(j):
-                entry = rows[j][l]
-                if entry.is_zero():
-                    continue
-                prod = elt * entry
-                for mo, c in prod.terms.items():
-                    out[l * len(dst) + dst_index[mo]][col] += sign * c
-    return out
-
-
-def _complex_rank(spec: DgSpec, rows, degree: int) -> int:
-    mat = _complex_map_rows(spec, rows, degree)
-    return int_rank(_int_rows(mat))
+                # mono * d[j][l], term by term: mono times one monomial of
+                # the entry is a single signed monomial.
+                for mo, c in row[l].terms.items():
+                    mono_sign, prod = mono_mul(mono, mo)
+                    col[l * ndst + dst_index[prod]] = c if mono_sign == sign else -c
+            cols.append(col)
+    return cols
 
 
 def complex_cohomology_dims(spec: DgSpec, rows, dmax: int) -> list[int]:
     """dim H^i of the semifree complex for 0 <= i <= dmax - 1."""
     n = spec.n
     m = len(rows)
-    ranks = [_complex_rank(spec, rows, d) for d in range(dmax)]
+    # rank(B^T) = rank(B): each column of d_F is one row of its transpose.
+    ranks = [sparse_rank(_complex_columns(spec, rows, d)) for d in range(dmax)]
     dims = []
     for i in range(dmax):
         total = m * len(graded_basis(n, i))
@@ -201,8 +196,8 @@ def _h1_representatives(spec: DgSpec, rows):
     n = spec.n
     m = len(rows)
     basis1 = graded_basis(n, 1)
-    mat = _complex_map_rows(spec, rows, 1)
-    cocycles = kernel_basis(Mat(mat))
+    cocycles = kernel_basis(Mat.from_sparse_columns(_complex_columns(spec, rows, 1),
+                                                    m * len(graded_basis(n, 2))))
     # Coboundary columns: images of the basis elements e_j.
     bound = []
     for j in range(m):
@@ -370,4 +365,8 @@ def ext_algebra(res: SemifreeResolution) -> FinAlg:
         tuple(Q(1) if idx == p else Q(0) for idx in range(m * m)) for p in range(m * m)
     ]
     mats = [Mat([[v[j * m + l] for l in range(m)] for j in range(m)]) for v in basis_vecs]
-    return FinAlg.from_matrix_algebra(mats)
+    try:
+        return FinAlg.from_matrix_algebra(mats)
+    except AlgebraError as exc:
+        # The commutant of a differential is an algebra by construction.
+        raise InternalConsistencyError("the Ext commutant is not an algebra: %s" % exc) from exc

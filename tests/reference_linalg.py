@@ -92,3 +92,21 @@ def ref_inverse(data):
     if pivots[:n] != list(range(n)):
         return None
     return [row[n:] for row in red]
+
+
+def ref_rank(data, ncols):
+    """Rank of a list of Fraction rows by forward Fraction elimination."""
+    m = [[Q(x) for x in row] for row in data]
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][c]
+        for i in range(r + 1, len(m)):
+            if m[i][c] != 0:
+                f = m[i][c] * inv
+                m[i] = [x - f * y if y else x for x, y in zip(m[i], m[r])]
+        r += 1
+    return r

@@ -1,4 +1,5 @@
-"""The paper's closed-form resolutions, kept as a test-only reference.
+"""The paper's closed-form resolutions and the dense complex map, kept as
+test-only references.
 
 build_resolution emits the cocycle-killing build of eilenberg_moore for every
 input.  The formulas here are the paper's own constructions: the staircase
@@ -6,6 +7,9 @@ rows of the seven rank-2 degenerate subcases, and the two-generator rows of
 the rank-1 quadric cases 4, 5 and 6 with their correction term w.  They are
 an independent route to the same minimal resolutions, and the tests require
 the two routes to agree on size and Ext dimension.
+
+complex_map_rows writes d_F as a dense Fraction matrix, entry by entry with
+SkewElement products; the package ranks sparse columns of the same map.
 """
 
 from fractions import Fraction as Q
@@ -15,7 +19,37 @@ from skewdg.dg import DgSpec
 from skewdg.linalg import solve_linear
 from skewdg.qpl import QplMatrix, chi
 from skewdg.resolution import SemifreeResolution
-from skewdg.skew import SkewElement, coefficient_vector
+from skewdg.skew import SkewElement, coefficient_vector, graded_basis
+
+
+def complex_map_rows(spec, rows, degree):
+    """Dense Fraction matrix of d_F : F^degree -> F^{degree+1} for
+    F = A (x) k^m (columns = source, summand-major)."""
+    n = spec.n
+    m = len(rows)
+    src = graded_basis(n, degree)
+    dst = graded_basis(n, degree + 1)
+    dst_index = {mono: i for i, mono in enumerate(dst)}
+    sign = -1 if degree % 2 else 1
+    ncols = m * len(src)
+    out = [[Q(0)] * ncols for _ in range(m * len(dst))]
+    # The d_A block of each summand e_j is the boundary matrix of A.
+    bnd = spec.boundary_matrix(degree).data
+    for j in range(m):
+        for r, brow in enumerate(bnd):
+            out[j * len(dst) + r][j * len(src): (j + 1) * len(src)] = brow
+    for si, mono in enumerate(src):
+        elt = SkewElement(n, {mono: Q(1)})
+        for j in range(m):
+            col = j * len(src) + si
+            for l in range(j):
+                entry = rows[j][l]
+                if entry.is_zero():
+                    continue
+                prod = elt * entry
+                for mo, c in prod.terms.items():
+                    out[l * len(dst) + dst_index[mo]][col] += sign * c
+    return out
 
 
 def _row_grid(n, body):

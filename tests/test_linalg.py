@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewdg.linalg import Mat, in_span, kernel_basis, rref, solve_linear
+from skewdg.linalg import (Mat, _echelon, _int_rows, in_span, kernel_basis, rref, solve_linear,
+                           sparse_rank)
 
 from reference_linalg import (
     ref_det,
     ref_inverse,
     ref_kernel_basis,
+    ref_rank,
     ref_rref,
     ref_solve_linear,
 )
@@ -144,3 +146,40 @@ def test_core_matches_fraction_reference(system):
             Mat(block).inverse()
     else:
         assert Mat(block).inverse() == Mat(ref_inv)
+
+
+@st.composite
+def sparse_rational_matrices(draw):
+    """A 0..30 x 1..30 rational matrix, each entry nonzero with a drawn
+    probability (denominators 1..5)."""
+    nrows = draw(st.integers(min_value=0, max_value=30))
+    ncols = draw(st.integers(min_value=1, max_value=30))
+    density = draw(st.sampled_from([0.05, 0.15, 0.4]))
+    rng = draw(st.randoms(use_true_random=False))
+    rows = [[Q(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 5))
+             if rng.random() < density else Q(0) for _ in range(ncols)]
+            for _ in range(nrows)]
+    return rows, ncols
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_rational_matrices())
+def test_sparse_echelon_matches_fraction_reference(system):
+    """The sparse echelon spans the row space of the input (same rref as the
+    Fraction reference), its rows start in its increasing pivot columns,
+    and rref, rank and sparse_rank agree with the reference."""
+    rows, ncols = system
+    ref_red, rank, pivots = ref_rref(rows, ncols)
+    echelon, ech_pivots, _ = _echelon(_int_rows(rows))
+    assert ech_pivots == pivots
+    assert [min(row) for row in echelon] == pivots
+    dense = [[Q(row.get(j, 0)) for j in range(ncols)] for row in echelon]
+    assert ref_rref(dense, ncols)[0][:rank] == ref_red[:rank]
+    assert rank == ref_rank(rows, ncols)
+    m = Mat(rows)
+    assert rref(m) == (Mat(ref_red), rank, pivots)
+    assert m.rank() == rank
+    assert sparse_rank({j: x for j, x in enumerate(row) if x} for row in rows) == rank
+    k = min(len(rows), ncols)
+    block = [row[:k] for row in rows[:k]]
+    assert Mat(block).det() == ref_det(block)

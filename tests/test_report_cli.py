@@ -5,6 +5,7 @@ import json
 import pytest
 
 from skewdg.cli import main
+from skewdg.finalg import AlgebraError, FinAlg
 from skewdg.linalg import Mat
 from skewdg.report import analyze, n2_presentation
 from skewdg.resolution import build_resolution, verify_resolution
@@ -117,6 +118,15 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("skewdg.cli.classify", broken)
     with pytest.raises(ValueError, match="library bug"):
         main(["classify", n3])
+
+    # The Ext commutant is an algebra by construction, so an AlgebraError
+    # from packaging it is an internal inconsistency, not bad input.
+    def not_closed(mats):
+        raise AlgebraError("span is not closed under multiplication")
+
+    monkeypatch.setattr(FinAlg, "from_matrix_algebra", staticmethod(not_closed))
+    assert main(["ext", n3]) == 3
+    assert "not closed" in capsys.readouterr().err
 
 
 def test_cli_resolve_verify(tmp_path, capsys):

@@ -7,7 +7,8 @@ from fractions import Fraction as Q
 
 from conftest import (NOT_CY, SUBCASE_BATTERY, SUBCASE_EXT, SUBCASE_SIZE, fresh_minimal_size,
                       product_rule_size)
-from reference_resolution import reference_resolution
+from reference_linalg import ref_rank
+from reference_resolution import complex_map_rows, reference_resolution
 from skewdg.finalg import frobenius, radical_filtration, recognize_truncated, socle_dim
 from skewdg.linalg import Mat
 from skewdg.qpl import QplMatrix, chi, iso_solve
@@ -16,12 +17,13 @@ from skewdg.resolution import (
     InfinitePattern,
     SemifreeResolution,
     build_resolution,
+    complex_cohomology_dims,
     ext_algebra,
     published_resolution,
     resolution_from_dict,
     verify_resolution,
 )
-from skewdg.skew import SkewElement
+from skewdg.skew import SkewElement, graded_basis
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden"))
 from make_golden import MATRICES as GOLDEN_MATRICES  # noqa: E402
@@ -167,6 +169,29 @@ def test_published_fixtures_m1_m6_verify_others_fail():
         assert not check.exact, name
         # The defect is a surviving degree-one class.
         assert check.cohomology_dims[1] == 1, name
+
+
+def test_complex_dims_match_dense_reference(representative_resolutions):
+    # complex_cohomology_dims ranks sparse columns of d_F; the reference
+    # writes d_F as a dense Fraction matrix and ranks it by Fraction
+    # elimination, for degrees 0-6.  The published M2-M5 grids are not
+    # exact, so their ranks are not forced by exactness; the chi-image has
+    # non-integer entries, so its columns must be cleared of denominators.
+    cases = [(name, data["resolution"]) for name, data in representative_resolutions.items()]
+    cases += [("published " + name, published_resolution(name))
+              for name in ("M2", "M3", "M4", "M5")]
+    image = chi(SIX_REPRESENTATIVES["M3"], QplMatrix((2, 0, 1), (Q(1, 2), Q(3), Q(-2, 3))))
+    assert any(x.denominator != 1 for row in image.data for x in row)
+    cases.append(("chi image of M3", build_resolution(image)))
+    dmax = 7
+    for name, res in cases:
+        ranks = []
+        for d in range(dmax):
+            dense = complex_map_rows(res.spec, res.d, d)
+            ranks.append(ref_rank(dense, len(dense[0])))
+        expect = [res.size * len(graded_basis(3, i)) - ranks[i] - (ranks[i - 1] if i else 0)
+                  for i in range(dmax)]
+        assert complex_cohomology_dims(res.spec, res.d, dmax) == expect, name
 
 
 def test_representative_resolutions(representative_resolutions):
