@@ -122,8 +122,10 @@ def cmd_validate(args) -> int:
 
 def cmd_cohomology(args) -> int:
     m = load_matrix(args.input)
-    report = DgSpec(m).cohomology(max(nonnegative(args.max_degree, "--max-degree"), 2))
-    emit({"check": "cohomology", **report.as_dict()}, args.pretty)
+    dmax = nonnegative(args.max_degree, "--max-degree")
+    record = DgSpec(m).cohomology(max(dmax, 2)).as_dict()
+    record["dims"] = record["dims"][: dmax + 1]
+    emit({"check": "cohomology", **record}, args.pretty)
     return EXIT_OK
 
 

@@ -14,7 +14,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .linalg import Mat, Q, column_basis, frac, in_span, kernel_basis, rref
+from .linalg import (Mat, Q, column_basis, frac, in_span, kernel_basis, sparse_kernel,
+                     sparse_rref)
 
 
 class AlgebraError(ValueError):
@@ -24,20 +25,25 @@ class AlgebraError(ValueError):
 class FinAlg:
     """Algebra over Q with basis b_0..b_{m-1}: b_i b_j = sum_k c[i][j][k] b_k.
 
-    radical_powers holds the bases of rad, rad^2, ..., ending with the first
-    empty power; it is computed once, when the algebra is built.
+    structure[i][j] holds the nonzero constants of b_i b_j as (k, c[i][j][k])
+    pairs in increasing k.  radical_powers holds the bases of rad, rad^2, ...,
+    ending with the first empty power; it is computed once, when the algebra
+    is built.  The socle is computed on first use and kept.
     """
 
-    __slots__ = ("dim", "unit", "structure", "radical_powers")
+    __slots__ = ("dim", "unit", "structure", "radical_powers", "_socle")
 
     def __init__(self, dim: int, unit: Sequence, structure):
+        """structure[i][j] is the dense coordinate vector of b_i b_j."""
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "unit", tuple(frac(x) for x in unit))
         table = tuple(
-            tuple(tuple(frac(x) for x in structure[i][j]) for j in range(dim))
+            tuple(tuple((k, c) for k, c in enumerate(map(frac, structure[i][j])) if c)
+                  for j in range(dim))
             for i in range(dim)
         )
         object.__setattr__(self, "structure", table)
+        object.__setattr__(self, "_socle", None)
         self._validate()
         object.__setattr__(self, "radical_powers", self._radical_powers())
 
@@ -65,64 +71,63 @@ class FinAlg:
         identity; violations are reported as internal errors because the
         callers only pass commutants, which are always closed.  One
         elimination of [span | identity | all products] gives every
-        coordinate: they are the first dim rows of its reduced form.
+        coordinate: they are the first dim rows of its reduced form.  The
+        matrices are multiplied and eliminated as sparse rows.
         """
         dim = len(mats)
         if dim == 0:
             raise AlgebraError("empty matrix algebra")
         size = mats[0].rows
-        ident = [Q(1) if i == j else Q(0) for i in range(size) for j in range(size)]
-        cols = [[x for row in mat.data for x in row] for mat in mats] + [ident]
-        cols += [[x for row in (a * b).data for x in row] for a in mats for b in mats]
-        red, _, pivots = rref(Mat.from_columns(cols))
+        sparse = [[{j: x for j, x in enumerate(row) if x} for row in mat.data] for mat in mats]
+        cols = sparse + [[{i: Q(1)} for i in range(size)]]
+        cols += [_matmul(a, b) for a in sparse for b in sparse]
+        rows = {}  # matrix cell -> {column of the system: entry}
+        for t, mat in enumerate(cols):
+            for i, row in enumerate(mat):
+                for j, x in row.items():
+                    rows.setdefault(i * size + j, {})[t] = x
+        red, pivots = sparse_rref(rows.values())
         if pivots[:dim] != list(range(dim)):
             raise AlgebraError("the spanning matrices are linearly dependent")
         if dim in pivots:
             raise AlgebraError("identity matrix is not in the span")
         if len(pivots) > dim:
             raise AlgebraError("matrix span is not multiplicatively closed")
-        coords = [red.column(t)[:dim] for t in range(dim, len(cols))]
+        coords = [[row.get(t, 0) for row in red] for t in range(dim, len(cols))]
         structure = [coords[1 + i * dim: 1 + (i + 1) * dim] for i in range(dim)]
         return FinAlg(dim, coords[0], structure)
 
     # -- validation -----------------------------------------------------------
 
     def _validate(self):
-        m, c = self.dim, self.structure
-        basis = [self._basis_vec(i) for i in range(m)]
-        for i, b in enumerate(basis):
-            if self.multiply(self.unit, b) != b or self.multiply(b, self.unit) != b:
+        m, s = self.dim, self.structure
+        unit = [(a, u) for a, u in zip(range(m), self.unit) if u]
+        for i in range(m):
+            b_i = {i: 1}
+            if (_lincomb((u, s[a][i]) for a, u in unit) != b_i
+                    or _lincomb((u, s[i][a]) for a, u in unit) != b_i):
                 raise AlgebraError("unit law fails on basis element %d" % i)
-        # b_i (b_j b_k) = (b_i b_j) b_k, where b_j b_k = c[j][k].
-        for i, b in enumerate(basis):
+        # b_i (b_j b_k) = (b_i b_j) b_k, where b_j b_k = sum_l c[j][k][l] b_l.
+        for i in range(m):
             for j in range(m):
                 for k in range(m):
-                    if self.multiply(b, c[j][k]) != self.multiply(c[i][j], basis[k]):
+                    if (_lincomb((c, s[i][l]) for l, c in s[j][k])
+                            != _lincomb((c, s[l][k]) for l, c in s[i][j])):
                         raise AlgebraError(
                             "associativity fails on basis triple (%d, %d, %d)" % (i, j, k))
-
-    def _basis_vec(self, i: int) -> tuple:
-        return tuple(Q(1) if k == i else Q(0) for k in range(self.dim))
 
     # -- arithmetic -------------------------------------------------------------
 
     def multiply(self, x: Sequence, y: Sequence) -> tuple:
         out = [Q(0)] * self.dim
+        ys = [(j, yj) for j, yj in enumerate(y) if yj]
         for xi, row in zip(x, self.structure):
-            if not xi:
-                continue
-            for yj, coeffs in zip(y, row):
-                if not yj:
-                    continue
-                c = xi * yj
-                for k, ck in enumerate(coeffs):
-                    if ck:
+            if xi:
+                for j, yj in ys:
+                    c = xi * yj
+                    for k, ck in row[j]:
                         out[k] += c * ck
         return tuple(out)
-
-    def left_mult_matrix(self, x: Sequence) -> Mat:
-        cols = [self.multiply(x, self._basis_vec(j)) for j in range(self.dim)]
-        return Mat.from_columns(cols)
 
     def is_commutative(self) -> bool:
         m = self.dim
@@ -141,10 +146,13 @@ class FinAlg:
         off the structure constants: tr(L_i L_j) = sum_{k,l} c[i][l][k] c[j][k][l].
         rad^{i+1} is spanned by the products x y with x in rad^i, y in rad.
         """
-        m, c = self.dim, self.structure
-        gram = Mat([[sum(ci[l][k] * cj[k][l] for k in range(m) for l in range(m) if ci[l][k])
-                     for cj in c] for ci in c])
-        rad = kernel_basis(gram)
+        m, s = self.dim, self.structure
+        lookup = [[dict(pairs) for pairs in row] for row in s]
+        gram = []
+        for si in s:
+            terms = [(k, l, a) for l, pairs in enumerate(si) for k, a in pairs]
+            gram.append([sum(a * cj[k].get(l, 0) for k, l, a in terms) for cj in lookup])
+        rad = kernel_basis(Mat(gram))
         powers = [rad]
         while powers[-1]:
             powers.append(column_basis([self.multiply(x, y) for x in powers[-1] for y in rad]))
@@ -169,15 +177,43 @@ class FinAlg:
         """
         if not self.is_local():
             raise AlgebraError("socle criterion applies to local algebras only")
-        m = self.dim
-        rows = []
-        for r in self.radical_powers[0]:
-            rows.extend(self.left_mult_matrix(r).data)
-            rows.extend(Mat.from_columns([self.multiply(self._basis_vec(j), r)
-                                          for j in range(m)]).data)
-        if not rows:
-            return [self._basis_vec(i) for i in range(m)]
-        return kernel_basis(Mat(rows))
+        if self._socle is None:
+            m, s = self.dim, self.structure
+            rows = []
+            for r in self.radical_powers[0]:
+                nonzero = [(a, ra) for a, ra in enumerate(r) if ra]
+                # Column j of L_r and of R_r: the coordinates of r b_j and b_j r.
+                for cols in ([_lincomb((ra, s[a][j]) for a, ra in nonzero) for j in range(m)],
+                             [_lincomb((ra, s[j][a]) for a, ra in nonzero) for j in range(m)]):
+                    mat = {}
+                    for j, col in enumerate(cols):
+                        for k, x in col.items():
+                            mat.setdefault(k, {})[j] = x
+                    rows += mat.values()
+            object.__setattr__(self, "_socle", tuple(sparse_kernel(rows, m)))
+        return list(self._socle)
+
+
+def _matmul(a: list[dict], b: list[dict]) -> list[dict]:
+    """The product of two square matrices given as sparse rows."""
+    out = []
+    for arow in a:
+        acc = {}
+        for k, x in arow.items():
+            for j, y in b[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        out.append({j: x for j, x in acc.items() if x})
+    return out
+
+
+def _lincomb(terms) -> dict:
+    """sum_t c_t v_t over (c_t, v_t) in terms, each v_t a tuple of (k, value)
+    pairs, as {k: nonzero value}."""
+    out = {}
+    for c, pairs in terms:
+        for k, x in pairs:
+            out[k] = out.get(k, 0) + c * x
+    return {k: x for k, x in out.items() if x}
 
 
 def sklyanin_e(lam, mu, nu) -> FinAlg:
@@ -225,22 +261,15 @@ class FrobeniusVerdict:
 
 
 def _gram(e: FinAlg, functional: Sequence) -> Mat:
-    return Mat([[sum(f * c for f, c in zip(functional, row[j])) for j in range(e.dim)]
+    return Mat([[sum(functional[k] * c for k, c in pairs) for pairs in row]
                 for row in e.structure])
 
 
 def _commutator_annihilator(e: FinAlg) -> list[tuple]:
     """Functionals vanishing on all commutators b_i b_j - b_j b_i."""
-    m, c = e.dim, e.structure
-    rows = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            diff = [a - b for a, b in zip(c[i][j], c[j][i])]
-            if any(diff):
-                rows.append(diff)
-    if not rows:
-        return [e._basis_vec(i) for i in range(m)]
-    return kernel_basis(Mat(rows))
+    m, s = e.dim, e.structure
+    rows = [_lincomb(((1, s[i][j]), (-1, s[j][i]))) for i in range(m) for j in range(i + 1, m)]
+    return sparse_kernel(rows, m)
 
 
 def frobenius(e: FinAlg, trials: int = 64, seed: int = 0) -> FrobeniusVerdict:

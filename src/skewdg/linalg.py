@@ -268,19 +268,35 @@ def sparse_rank(rows: Iterable[dict]) -> int:
     return len(_echelon([_integral(row) for row in rows])[1])
 
 
-def rref(a: Mat) -> tuple[Mat, int, list[int]]:
-    """Reduced row echelon form: (reduced, rank, pivot_columns).
-
-    Sparse integer back-substitution on the echelon clears each pivot column
-    above its pivot; one division per nonzero entry then makes the pivots 1.
-    """
-    rows, pivots, _ = _echelon(_int_rows(a.data))
+def _reduced(rows: list[dict[int, int]]) -> tuple[list[dict[int, int]], list[int]]:
+    """The echelon of sparse integer rows with each pivot column cleared
+    above its pivot by sparse integer back-substitution: (rows, pivots).
+    The pivots are not yet scaled to 1."""
+    rows, pivots, _ = _echelon(rows)
     for k in range(len(pivots) - 1, 0, -1):
         prow, p = rows[k], pivots[k]
         for i in range(k):
             x = rows[i].get(p)
             if x:
                 rows[i] = _combine(rows[i], x, prow, prow[p])[0]
+    return rows, pivots
+
+
+def sparse_rref(rows: Iterable[dict]) -> tuple[list[dict], list[int]]:
+    """Reduced row echelon form of sparse rational rows {column: nonzero
+    coefficient}: the nonzero reduced rows, each 1 at its pivot, and the
+    pivot columns."""
+    red, pivots = _reduced([_integral(row) for row in rows])
+    return [{j: Q(x, row[p]) for j, x in row.items()} for row, p in zip(red, pivots)], pivots
+
+
+def rref(a: Mat) -> tuple[Mat, int, list[int]]:
+    """Reduced row echelon form: (reduced, rank, pivot_columns).
+
+    One division per nonzero entry of the sparse reduced rows makes the
+    pivots 1.
+    """
+    rows, pivots = _reduced(_int_rows(a.data))
     zero = Q(0)
     red = []
     for row, p in zip(rows, pivots):
@@ -317,6 +333,28 @@ def kernel_basis(a: Mat) -> list[tuple]:
     """
     red, _, pivots = rref(a)
     return _kernel_from_rref(red, pivots, a.cols)
+
+
+def sparse_kernel(rows: Iterable[dict], ncols: int) -> list[tuple]:
+    """kernel_basis of the matrix with ncols columns and the sparse rational
+    rows {column: nonzero coefficient}.  The RREF is unique, so these are the
+    same vectors with the same scaling."""
+    red, pivots = sparse_rref(rows)
+    free = {j: {j: Q(1)} for j in range(ncols)}  # free column -> its kernel vector
+    for p in pivots:
+        del free[p]
+    for row, p in zip(red, pivots):
+        for j, x in row.items():
+            if j != p:
+                free[j][p] = -x
+    basis = []
+    for v in free.values():
+        lead = v[min(v)]
+        dense = [Q(0)] * ncols
+        for k, x in v.items():
+            dense[k] = x / lead
+        basis.append(tuple(dense))
+    return basis
 
 
 def solve_linear(a: Mat, b: Sequence) -> tuple[Optional[tuple], list[tuple]]:

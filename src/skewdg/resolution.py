@@ -15,7 +15,7 @@ from typing import Optional
 from .classify import CaseLabel, classify, quadric_coefficients, theorem_c
 from .dg import DgSpec, InternalConsistencyError
 from .finalg import AlgebraError, FinAlg
-from .linalg import Mat, Q, complement_in, frac, kernel_basis, sparse_rank
+from .linalg import Mat, Q, complement_in, frac, kernel_basis, sparse_kernel, sparse_rank
 from .skew import SkewElement, graded_basis, mono_mul, parse_element
 
 
@@ -342,29 +342,23 @@ def ext_algebra(res: SemifreeResolution) -> FinAlg:
     """The scalar commutant {A : A d = d A} of the resolution differential,
     packaged as an algebra by structure constants."""
     m = res.size
-    n = res.spec.n
-    rows = res.d
-    basis1 = graded_basis(n, 1)
-    # Unknowns a[j][l], row-major.  Equation blocks: for each (j, l) and each
-    # degree-1 monomial, sum_k a[j][k] d[k][l] - d[j][k] a[k][l] = 0.
-    eqs = []
-    for j in range(m):
+    # The nonzero linear coefficients (j, l, monomial, coefficient) of d.
+    linear = [(j, l, mono, c) for j, row in enumerate(res.d) for l, entry in enumerate(row)
+              for mono, c in entry.terms.items() if sum(mono) == 1]
+    # Unknowns a[j][l], row-major.  One sparse equation per (j, l) and
+    # degree-1 monomial: sum_k a[j][k] d[k][l] - d[j][k] a[k][l] = 0.
+    eqs = {}
+    for k, l, mono, c in linear:
+        for j in range(m):
+            row = eqs.setdefault((j, l, mono), {})
+            row[j * m + k] = row.get(j * m + k, 0) + c
+    for j, k, mono, c in linear:
         for l in range(m):
-            for mono in basis1:
-                row = [Q(0)] * (m * m)
-                for k in range(m):
-                    c = rows[k][l].terms.get(mono, Q(0))
-                    if c != 0:
-                        row[j * m + k] += c
-                    c = rows[j][k].terms.get(mono, Q(0))
-                    if c != 0:
-                        row[k * m + l] -= c
-                if any(row):
-                    eqs.append(row)
-    basis_vecs = kernel_basis(Mat(eqs)) if eqs else [
-        tuple(Q(1) if idx == p else Q(0) for idx in range(m * m)) for p in range(m * m)
-    ]
-    mats = [Mat([[v[j * m + l] for l in range(m)] for j in range(m)]) for v in basis_vecs]
+            row = eqs.setdefault((j, l, mono), {})
+            row[k * m + l] = row.get(k * m + l, 0) - c
+    basis_vecs = sparse_kernel(({u: c for u, c in row.items() if c} for row in eqs.values()),
+                               m * m)
+    mats = [Mat([v[j * m: (j + 1) * m] for j in range(m)]) for v in basis_vecs]
     try:
         return FinAlg.from_matrix_algebra(mats)
     except AlgebraError as exc:

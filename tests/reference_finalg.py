@@ -1,5 +1,5 @@
 """Test-only reference for skewdg.finalg: the radical from products of
-left-multiplication matrices.
+left-multiplication matrices, and dense structure constants.
 
 The radical is the kernel of the Gram matrix tr(L_i L_j), with each L_i L_j
 formed as a matrix product, instead of the package's closed formula in the
@@ -7,6 +7,11 @@ structure constants.  The socle is intersected with the radical explicitly,
 and the truncated-polynomial generator is lifted by solving against rad^2.
 Every function takes the radical basis from ref_radical_basis so that a
 caller computes it once per algebra.
+
+The package stores structure constants sparse; ref_multiply multiplies on a
+dense table c[i][j][k], and ref_matrix_algebra builds that table for a span
+of matrices with dense Mat products and one rref, as the package did before
+its matrices were multiplied as sparse rows.
 """
 
 import random
@@ -16,6 +21,10 @@ from skewdg.linalg import Mat, Q, kernel_basis, rref, solve_linear
 
 def _basis_vec(e, i):
     return tuple(Q(1) if k == i else Q(0) for k in range(e.dim))
+
+
+def _left_mult_matrix(e, x):
+    return Mat.from_columns([e.multiply(x, _basis_vec(e, j)) for j in range(e.dim)])
 
 
 def _span_basis(vectors):
@@ -29,7 +38,7 @@ def _span_basis(vectors):
 def ref_radical_basis(e):
     """Kernel of the trace form, each entry the trace of a matrix product."""
     m = e.dim
-    lm = [e.left_mult_matrix(_basis_vec(e, i)) for i in range(m)]
+    lm = [_left_mult_matrix(e, _basis_vec(e, i)) for i in range(m)]
     gram = []
     for i in range(m):
         row = []
@@ -59,7 +68,7 @@ def ref_socle_basis(e, rad):
     m = e.dim
     rows = []
     for r in rad:
-        rows.extend(e.left_mult_matrix(r).data)
+        rows.extend(_left_mult_matrix(e, r).data)
         rows.extend(Mat.from_columns([e.multiply(_basis_vec(e, j), r) for j in range(m)]).data)
     if not rows:
         return [_basis_vec(e, i) for i in range(m)]
@@ -129,3 +138,39 @@ def ref_frobenius(e, rad, trials=64, seed=0):
         return {"frobenius": False, "symmetric": None, "method": "no-certificate-found"}
     return {"frobenius": True, "symmetric": symmetric, "method": "certificate",
             "witness": [str(x) for x in witness]}
+
+
+def ref_multiply(table, x, y):
+    """x y on the dense structure constants table[i][j][k]."""
+    m = len(table)
+    out = [Q(0)] * m
+    for i in range(m):
+        for j in range(m):
+            for k in range(m):
+                out[k] += Q(x[i]) * Q(y[j]) * Q(table[i][j][k])
+    return tuple(out)
+
+
+def ref_sklyanin_table(lam, mu, nu):
+    """Dense constants of sklyanin_e on 1, e1, e2, e3: e1 e1 = lam e3,
+    e1 e2 = e2 e1 = nu e3, e2 e2 = mu e3, every other product of radical
+    elements zero."""
+    table = [[[0] * 4 for _ in range(4)] for _ in range(4)]
+    for i in range(4):
+        table[0][i][i] = table[i][0][i] = 1
+    table[1][1][3], table[1][2][3], table[2][1][3], table[2][2][3] = lam, nu, nu, mu
+    return table
+
+
+def ref_matrix_algebra(mats):
+    """(dim, unit, table) of the algebra spanned by linearly independent
+    matrices that contain the identity and are closed under products."""
+    dim = len(mats)
+    size = mats[0].rows
+    cols = [[x for row in mat.data for x in row] for mat in mats]
+    cols.append([Q(1) if i == j else Q(0) for i in range(size) for j in range(size)])
+    cols += [[x for row in (a * b).data for x in row] for a in mats for b in mats]
+    red, _, pivots = rref(Mat.from_columns(cols))
+    assert pivots == list(range(dim)), pivots
+    coords = [red.column(t)[:dim] for t in range(dim, len(cols))]
+    return dim, coords[0], [coords[1 + i * dim: 1 + (i + 1) * dim] for i in range(dim)]

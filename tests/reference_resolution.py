@@ -10,13 +10,15 @@ the two routes to agree on size and Ext dimension.
 
 complex_map_rows writes d_F as a dense Fraction matrix, entry by entry with
 SkewElement products; the package ranks sparse columns of the same map.
+commutant_matrices solves the Ext commutant with one dense row of m^2
+Fractions per equation; the package solves the same system on sparse rows.
 """
 
 from fractions import Fraction as Q
 
 from skewdg.classify import RANK1, RANK2_DEGENERATE, classify, quadric_coefficients
 from skewdg.dg import DgSpec
-from skewdg.linalg import solve_linear
+from skewdg.linalg import Mat, kernel_basis, solve_linear
 from skewdg.qpl import QplMatrix, chi
 from skewdg.resolution import SemifreeResolution
 from skewdg.skew import SkewElement, coefficient_vector, graded_basis
@@ -50,6 +52,34 @@ def complex_map_rows(spec, rows, degree):
                 for mo, c in prod.terms.items():
                     out[l * len(dst) + dst_index[mo]][col] += sign * c
     return out
+
+
+def commutant_matrices(res):
+    """A basis of the scalar commutant {A : A d = d A} of the resolution
+    differential, from the dense m^2-wide equation rows."""
+    m = res.size
+    rows = res.d
+    basis1 = graded_basis(res.spec.n, 1)
+    # Unknowns a[j][l], row-major.  Equation blocks: for each (j, l) and each
+    # degree-1 monomial, sum_k a[j][k] d[k][l] - d[j][k] a[k][l] = 0.
+    eqs = []
+    for j in range(m):
+        for l in range(m):
+            for mono in basis1:
+                row = [Q(0)] * (m * m)
+                for k in range(m):
+                    c = rows[k][l].terms.get(mono, Q(0))
+                    if c != 0:
+                        row[j * m + k] += c
+                    c = rows[j][k].terms.get(mono, Q(0))
+                    if c != 0:
+                        row[k * m + l] -= c
+                if any(row):
+                    eqs.append(row)
+    basis_vecs = kernel_basis(Mat(eqs)) if eqs else [
+        tuple(Q(1) if idx == p else Q(0) for idx in range(m * m)) for p in range(m * m)
+    ]
+    return [Mat([[v[j * m + l] for l in range(m)] for j in range(m)]) for v in basis_vecs]
 
 
 def _row_grid(n, body):

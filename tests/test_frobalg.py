@@ -20,9 +20,12 @@ from skewdg.resolution import build_resolution, ext_algebra, published_resolutio
 from reference_finalg import (
     ref_frobenius,
     ref_is_local,
+    ref_matrix_algebra,
+    ref_multiply,
     ref_radical_basis,
     ref_radical_filtration,
     ref_recognize_truncated,
+    ref_sklyanin_table,
     ref_socle_basis,
 )
 
@@ -51,6 +54,58 @@ def test_make_algebra_rejects_nonassociative():
     structure[1][2][0] = 1  # x * x^2 gains a unit component
     with pytest.raises(AlgebraError):
         FinAlg(m, unit, structure)
+
+
+def test_unit_law_failure():
+    # k x k with (1, 0) as unit: unit * b_1 = 0.
+    with pytest.raises(AlgebraError, match=r"^unit law fails on basis element 1$"):
+        FinAlg(2, (1, 0), [[[1, 0], [0, 0]], [[0, 0], [0, 1]]])
+    # b_0 is a left unit only: b_1 b_0 = 0.
+    with pytest.raises(AlgebraError, match=r"^unit law fails on basis element 1$"):
+        FinAlg(2, (1, 0), [[[1, 0], [0, 1]], [[0, 0], [0, 1]]])
+
+
+def test_associativity_failure_names_the_triple():
+    # On 1, b_1..b_5 with b_j b_k = b_u, b_i b_u = b_w and every other
+    # product of the b's zero (u, w outside {i, j, k}), associativity fails
+    # on the basis triple (i, j, k) alone.
+    dim = 6
+    for i in range(1, dim):
+        for j in range(1, dim):
+            for k in range(1, dim):
+                u, w = [x for x in range(1, dim) if x not in (i, j, k)][:2]
+                structure = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+                for x in range(dim):
+                    structure[0][x][x] = structure[x][0][x] = 1
+                structure[j][k][u] = structure[i][u][w] = 1
+                message = r"^associativity fails on basis triple \(%d, %d, %d\)$" % (i, j, k)
+                with pytest.raises(AlgebraError, match=message):
+                    FinAlg(dim, [1] + [0] * (dim - 1), structure)
+
+
+def test_multiply_matches_dense_reference():
+    rng = random.Random(67)
+    cases = [("k[x]/(x^%d)" % m, FinAlg(*truncated_poly(m)), truncated_poly(m)[2])
+             for m in range(1, 9)]
+    for params in ((0, 0, 0), (1, 1, 0), (1, 2, 1), (2, -1, 3), (Q(1, 2), 3, Q(-2, 3))):
+        cases.append(("sklyanin%s" % (params,), sklyanin_e(*params), ref_sklyanin_table(*params)))
+    for name, mats in _matrix_algebras():
+        dim, unit, table = ref_matrix_algebra(mats)
+        alg = FinAlg.from_matrix_algebra(mats)
+        assert alg.unit == tuple(Q(x) for x in unit), name
+        cases.append((name, alg, table))
+    for name, alg, table in cases:
+        dim = alg.dim
+        assert alg.structure == tuple(
+            tuple(tuple((k, Q(c)) for k, c in enumerate(table[i][j]) if c) for j in range(dim))
+            for i in range(dim)), name
+        vectors = [tuple(Q(int(i == j)) for j in range(dim)) for i in range(dim)]
+        for _ in range(6):
+            vectors.append(tuple(Q(rng.choice([0, 0, 1, -2, 3]), rng.randint(1, 3))
+                                 for _ in range(dim)))
+        for x in vectors:
+            for y in vectors:
+                assert alg.multiply(x, y) == ref_multiply(table, x, y), name
 
 
 def test_commutant_of_published_first_representative_is_valid():
@@ -194,14 +249,16 @@ def _reference_algebras(subcase_resolutions, representative_resolutions):
     structure[0][1] = structure[1][0] = [0, 1, 0]
     structure[2][2] = [0, 0, 1]
     yield "k[x]/(x^2) x k", FinAlg(3, (1, 0, 1), structure)
-    yield "M_2(k)", FinAlg.from_matrix_algebra(
-        _unit_matrices(2, [(0, 0), (0, 1), (1, 0), (1, 1)]))
-    yield "upper triangular", FinAlg.from_matrix_algebra(
-        _unit_matrices(2, [(0, 0), (0, 1), (1, 1)]))
+    for name, mats in _matrix_algebras():
+        yield name, FinAlg.from_matrix_algebra(mats)
+
+
+def _matrix_algebras():
+    yield "M_2(k)", _unit_matrices(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+    yield "upper triangular", _unit_matrices(2, [(0, 0), (0, 1), (1, 1)])
     # k + strictly upper triangular 3 x 3: local and not commutative, with a
     # one-sided annihilator of rad larger than the socle.
-    yield "unipotent 3 x 3", FinAlg.from_matrix_algebra(
-        [Mat.identity(3)] + _unit_matrices(3, [(0, 1), (0, 2), (1, 2)]))
+    yield "unipotent 3 x 3", [Mat.identity(3)] + _unit_matrices(3, [(0, 1), (0, 2), (1, 2)])
 
 
 def test_radical_series_matches_reference(subcase_resolutions, representative_resolutions):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewdg.linalg import (Mat, _echelon, _int_rows, in_span, kernel_basis, rref, solve_linear,
-                           sparse_rank)
+                           sparse_kernel, sparse_rank)
 
 from reference_linalg import (
     ref_det,
@@ -183,3 +183,16 @@ def test_sparse_echelon_matches_fraction_reference(system):
     k = min(len(rows), ncols)
     block = [row[:k] for row in rows[:k]]
     assert Mat(block).det() == ref_det(block)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_rational_matrices())
+def test_sparse_kernel_matches_kernel_basis(system):
+    """sparse_kernel gives the vectors of kernel_basis and of the Fraction
+    reference, with the same first-nonzero-is-1 scaling."""
+    rows, ncols = system
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    kernel = sparse_kernel(sparse, ncols)
+    assert kernel == ref_kernel_basis(rows, ncols)
+    if rows:  # a Mat without rows has no columns
+        assert kernel == kernel_basis(Mat(rows))

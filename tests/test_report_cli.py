@@ -129,6 +129,21 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     assert "not closed" in capsys.readouterr().err
 
 
+def test_cli_cohomology_max_degree(tmp_path, capsys):
+    # The dims stop at --max-degree, also below the degree-2 data that the
+    # record always carries; the H^1 and H^2 fields do not depend on it.
+    path = write_matrix(tmp_path, "m1.json", [[0, 1, 1], [0, 0, 0], [0, 0, 0]])
+    records = {}
+    for dmax in (0, 1, 2, 4):
+        assert main(["cohomology", path, "--max-degree", str(dmax)]) == 0
+        records[dmax] = json.loads(capsys.readouterr().out)
+    assert [len(records[d]["dims"]) for d in (0, 1, 2, 4)] == [1, 2, 3, 5]
+    for dmax, record in records.items():
+        assert record["dims"] == records[4]["dims"][: dmax + 1]
+        assert {k: v for k, v in record.items() if k != "dims"} == \
+            {k: v for k, v in records[4].items() if k != "dims"}
+
+
 def test_cli_resolve_verify(tmp_path, capsys):
     path = write_matrix(tmp_path, "m.json", [[1, 0, 1], [0, 1, 0], [1, 0, 1]])
     assert main(["resolve", path, "--verify", "4"]) == 0

@@ -7,9 +7,11 @@ from fractions import Fraction as Q
 
 from conftest import (NOT_CY, SUBCASE_BATTERY, SUBCASE_EXT, SUBCASE_SIZE, fresh_minimal_size,
                       product_rule_size)
+from reference_finalg import ref_matrix_algebra
 from reference_linalg import ref_rank
-from reference_resolution import complex_map_rows, reference_resolution
-from skewdg.finalg import frobenius, radical_filtration, recognize_truncated, socle_dim
+from reference_resolution import commutant_matrices, complex_map_rows, reference_resolution
+from skewdg.dg import DgSpec
+from skewdg.finalg import FinAlg, frobenius, radical_filtration, recognize_truncated, socle_dim
 from skewdg.linalg import Mat
 from skewdg.qpl import QplMatrix, chi, iso_solve
 from skewdg.resolution import (
@@ -18,6 +20,7 @@ from skewdg.resolution import (
     SemifreeResolution,
     build_resolution,
     complex_cohomology_dims,
+    eilenberg_moore,
     ext_algebra,
     published_resolution,
     resolution_from_dict,
@@ -169,6 +172,28 @@ def test_published_fixtures_m1_m6_verify_others_fail():
         assert not check.exact, name
         # The defect is a surviving degree-one class.
         assert check.cohomology_dims[1] == 1, name
+
+
+def test_ext_algebra_matches_dense_commutant(representative_resolutions):
+    # ext_algebra solves the commutant on sparse rows and multiplies its
+    # basis as sparse rows; the reference writes one dense row per equation
+    # and forms the structure constants from dense Mat products.  Both must
+    # give the same kernel basis, hence the same unit and constants.
+    cases = [(name, data["resolution"]) for name, data in representative_resolutions.items()]
+    cases.append(("published M1", published_resolution("M1")))
+    cases.append(("1.2.4/a", build_resolution(Mat(SUBCASE_BATTERY["1.2.4"][0]))))
+    for name in ("M1_image", "sub_1_2_4_image", "case4_image"):
+        cases.append((name, build_resolution(Mat(GOLDEN_MATRICES[name]))))
+    staircase = [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]]
+    for name, rows in (("n = 4 staircase", staircase), ("n = 4 zero", [[0] * 4] * 4)):
+        spec = DgSpec(Mat(rows))
+        grid, complete = eilenberg_moore(spec, max_size=16)
+        assert complete and len(grid) == 16, name
+        cases.append((name, SemifreeResolution(spec, grid, None)))
+    for name, res in cases:
+        ext = ext_algebra(res)
+        ref = FinAlg(*ref_matrix_algebra(commutant_matrices(res)))
+        assert (ext.dim, ext.unit, ext.structure) == (ref.dim, ref.unit, ref.structure), name
 
 
 def test_complex_dims_match_dense_reference(representative_resolutions):
