@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .linalg import (Mat, Q, column_basis, frac, in_span, kernel_basis, sparse_kernel,
-                     sparse_rref)
+                     sparse_rows, sparse_rref)
 
 
 class AlgebraError(ValueError):
@@ -65,7 +65,14 @@ class FinAlg:
 
     @staticmethod
     def from_matrix_algebra(mats: Sequence[Mat]) -> "FinAlg":
-        """Algebra spanned by linearly independent commuting-closure matrices.
+        """from_sparse_matrices on the nonzero entries of each row of mats."""
+        return FinAlg.from_sparse_matrices([sparse_rows(mat.data) for mat in mats],
+                                           mats[0].rows if mats else 0)
+
+    @staticmethod
+    def from_sparse_matrices(mats: Sequence[Sequence[dict]], size: int) -> "FinAlg":
+        """Algebra spanned by linearly independent size x size matrices, each
+        given as its rows {column: nonzero Fraction}.
 
         The span must be closed under multiplication and contain the
         identity; violations are reported as internal errors because the
@@ -77,10 +84,8 @@ class FinAlg:
         dim = len(mats)
         if dim == 0:
             raise AlgebraError("empty matrix algebra")
-        size = mats[0].rows
-        sparse = [[{j: x for j, x in enumerate(row) if x} for row in mat.data] for mat in mats]
-        cols = sparse + [[{i: Q(1)} for i in range(size)]]
-        cols += [_matmul(a, b) for a in sparse for b in sparse]
+        cols = list(mats) + [[{i: Q(1)} for i in range(size)]]
+        cols += [_matmul(a, b) for a in mats for b in mats]
         rows = {}  # matrix cell -> {column of the system: entry}
         for t, mat in enumerate(cols):
             for i, row in enumerate(mat):

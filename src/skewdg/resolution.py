@@ -358,9 +358,10 @@ def ext_algebra(res: SemifreeResolution) -> FinAlg:
             row[k * m + l] = row.get(k * m + l, 0) - c
     basis_vecs = sparse_kernel(({u: c for u, c in row.items() if c} for row in eqs.values()),
                                m * m)
-    mats = [Mat([v[j * m: (j + 1) * m] for j in range(m)]) for v in basis_vecs]
+    mats = [[{l: v[j * m + l] for l in range(m) if v[j * m + l]} for j in range(m)]
+            for v in basis_vecs]
     try:
-        return FinAlg.from_matrix_algebra(mats)
+        return FinAlg.from_sparse_matrices(mats, m)
     except AlgebraError as exc:
         # The commutant of a differential is an algebra by construction.
         raise InternalConsistencyError("the Ext commutant is not an algebra: %s" % exc) from exc

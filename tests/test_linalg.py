@@ -188,8 +188,9 @@ def test_sparse_echelon_matches_fraction_reference(system):
 @settings(max_examples=100, deadline=None)
 @given(sparse_rational_matrices())
 def test_sparse_kernel_matches_kernel_basis(system):
-    """sparse_kernel gives the vectors of kernel_basis and of the Fraction
-    reference, with the same first-nonzero-is-1 scaling."""
+    """sparse_kernel on the nonzero entries, and kernel_basis on the dense
+    rows, give the vectors of the Fraction reference with the same
+    first-nonzero-is-1 scaling."""
     rows, ncols = system
     sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
     kernel = sparse_kernel(sparse, ncols)

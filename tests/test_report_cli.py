@@ -121,10 +121,10 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
 
     # The Ext commutant is an algebra by construction, so an AlgebraError
     # from packaging it is an internal inconsistency, not bad input.
-    def not_closed(mats):
+    def not_closed(mats, size):
         raise AlgebraError("span is not closed under multiplication")
 
-    monkeypatch.setattr(FinAlg, "from_matrix_algebra", staticmethod(not_closed))
+    monkeypatch.setattr(FinAlg, "from_sparse_matrices", staticmethod(not_closed))
     assert main(["ext", n3]) == 3
     assert "not closed" in capsys.readouterr().err
 
