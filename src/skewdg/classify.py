@@ -1,6 +1,6 @@
 """Case taxonomy for 3x3 defining matrices, the Calabi-Yau verdict, graded
-presentations of the cohomology, and an independent Hilbert-function oracle
-for presented algebras.
+presentations of the cohomology, and the dimensions of presented algebras
+from a truncated noncommutative Gröbner basis.
 
 Rank 2 with a degenerate kernel pairing fans out into seven subcases driven
 by membership of auxiliary square-forms in the coboundary space B^2; rank 1
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .dg import DgSpec, InternalConsistencyError
-from .linalg import Mat, Q, kernel_basis, solve_linear, sparse_rank
+from .linalg import Mat, Q, kernel_basis, solve_linear, sparse_rref
 from .qpl import QplMatrix, chi
 
 RANK3 = "Rank3"
@@ -266,7 +266,7 @@ def theorem_c(m: Mat) -> TheoremCVerdict:
     return TheoremCVerdict(True, True, True, "rank-1-regular")
 
 
-# -- graded presentations and the Hilbert oracle --------------------------------
+# -- graded presentations and their dimensions ---------------------------------
 
 
 @dataclass
@@ -361,48 +361,107 @@ def presentation_of(label: CaseLabel) -> GradedPresentation:
 
 
 def presented_dims(pres: GradedPresentation, dmax: int) -> list[int]:
-    """Dimensions of the presented graded algebra up to dmax.
+    """Dimensions of the presented graded algebra up to dmax: the number of
+    normal words of each degree for a Gröbner basis truncated at dmax.
 
-    Computed degree by degree from scratch: the degree-d component of the
-    ideal is spanned by word * relation * word products, and the dimension
-    is the word count minus the rank of that span.
+    Words are ordered by weighted degree, then lexicographically in the
+    generator indices.  The rules of degree d are the reduced echelon form
+    of the degree-d relations and of the S-polynomials of the overlaps of
+    lower rules that land in degree d, each rewritten first by the lower
+    rules.  So every ambiguity of weighted degree <= dmax resolves, and by
+    Bergman's diamond lemma the words containing no leading word are a basis
+    in each degree <= dmax.  No inclusion ambiguity arises: a leading word
+    of degree d is normal for the lower rules, and the leading words of one
+    degree are distinct pivots.
     """
-    if dmax > 10:
-        raise ValueError("the word-space oracle is sized for dmax <= 10")
     degrees = [d for _, d in pres.generators]
     if any(d not in (1, 2) for d in degrees):
         raise ValueError("generator degrees outside {1, 2} are unsupported")
-    ngens = len(degrees)
 
-    words_by_degree: list[list[tuple]] = [[()]]
+    def weight(word):
+        return sum(degrees[g] for g in word)
+
+    pending: dict[int, list[dict]] = {}  # degree -> polynomials {word: coefficient}
+    for rel in pres.relations:
+        poly = {}
+        for c, w in rel:
+            poly[w] = poly.get(w, 0) + c
+        poly = {w: c for w, c in poly.items() if c}
+        if poly:
+            d = weight(next(iter(poly)))
+            if d == 0 or any(weight(w) != d for w in poly):
+                raise ValueError("relations must be homogeneous of positive degree")
+            pending.setdefault(d, []).append(poly)
+
+    rules: dict[tuple, dict] = {}  # leading word -> the other terms of its monic rule
+
+    def add_overlaps(a, b):
+        # A suffix of a is a proper prefix of b: a = u v, b = v w, and the
+        # S-polynomial (a + rest_a) w - u (b + rest_b) has no a w = u b term.
+        for k in range(1, min(len(a), len(b))):
+            if a[-k:] == b[:k]:
+                u, w = a[:-k], b[k:]
+                deg = weight(a) + weight(w)
+                if deg <= dmax:
+                    s = {t + w: c for t, c in rules[a].items()}
+                    for t, c in rules[b].items():
+                        s[u + t] = s.get(u + t, 0) - c
+                    s = {x: c for x, c in s.items() if c}
+                    if s:
+                        pending.setdefault(deg, []).append(s)
+
+    normal = [[()]]  # the normal words of each degree
+    longest = 0  # the length of the longest leading word
     for d in range(1, dmax + 1):
-        layer = []
-        for g in range(ngens):
-            dg = degrees[g]
-            if dg <= d:
-                for w in words_by_degree[d - dg]:
-                    layer.append(w + (g,))
-        words_by_degree.append(sorted(layer))
-
-    dims = []
-    for d in range(dmax + 1):
-        words = words_by_degree[d]
+        # The degree-d words without a lower leading word: the prefix is
+        # normal, so only a suffix can be one.  Largest word first, so the
+        # pivot of an echelon row is its leading word.
+        words = sorted((x for g, dg in enumerate(degrees) if dg <= d
+                        for x in (w + (g,) for w in normal[d - dg])
+                        if not any(x[i:] in rules
+                                   for i in range(max(1, len(x) - longest), len(x)))),
+                       reverse=True)
         index = {w: i for i, w in enumerate(words)}
-        rows = []
-        for rel in pres.relations:
-            rel_deg = sum(degrees[g] for g in rel[0][1]) if rel else 0
-            if rel_deg > d or not rel:
-                continue
-            for a in range(0, d - rel_deg + 1):
-                b = d - rel_deg - a
-                if b < 0 or b >= len(words_by_degree) or a >= len(words_by_degree):
-                    continue
-                for left in words_by_degree[a]:
-                    for right in words_by_degree[b]:
-                        row = {}
-                        for coeff, w in rel:
-                            k = index[left + w + right]
-                            row[k] = row.get(k, 0) + coeff
-                        rows.append({k: c for k, c in row.items() if c})
-        dims.append(len(words) - sparse_rank(rows))
-    return dims
+        red, pivots = sparse_rref([_rewrite(poly, rules, longest, index)
+                                   for poly in pending.pop(d, ())])
+        for row, p in zip(red, pivots):
+            lead = words[p]
+            rules[lead] = {words[j]: c for j, c in row.items() if j != p}
+            longest = max(longest, len(lead))
+            for other in rules:
+                add_overlaps(other, lead)
+                if other != lead:
+                    add_overlaps(lead, other)
+        leads = set(pivots)
+        normal.append([w for i, w in enumerate(words) if i not in leads])
+    return [len(ws) for ws in normal[: dmax + 1]]
+
+
+def _rewrite(poly: dict, rules: dict, longest: int, index: dict) -> dict:
+    """The normal form of a homogeneous polynomial {word: coefficient} as
+    {index[normal word]: nonzero coefficient}; no leading word in `rules`
+    is longer than `longest`.
+
+    The largest word is rewritten first; a rewrite only makes smaller words,
+    so each normal word is final when it is reached.
+    """
+    out = {}
+    todo = dict(poly)
+    while todo:
+        word = max(todo)
+        c = todo.pop(word)
+        col = index.get(word)
+        if col is not None:
+            out[col] = c
+            continue
+        i, lead = next((i, word[i:j]) for i in range(len(word))
+                       for j in range(i + 1, min(i + longest, len(word)) + 1)
+                       if word[i:j] in rules)
+        for t, tc in rules[lead].items():
+            x = word[:i] + t + word[i + len(lead):]
+            v = todo.get(x, 0) - c * tc
+            if v:
+                todo[x] = v
+            else:
+                todo.pop(x, None)
+    return out

@@ -120,20 +120,24 @@ class DgSpec:
         particular, _ = solve_linear(self.m.T, vec)
         return particular is not None
 
+    def cohomology_dims(self, dmax: int) -> list[int]:
+        """dim H^d(A) for 0 <= d <= dmax, from the ranks of the boundary
+        maps alone."""
+        if dmax < 0:
+            raise ValueError("dmax must be non-negative")
+        # rank(B^T) = rank(B): each image is one row of the transpose.
+        ranks = [sparse_rank(self.images(d)) for d in range(dmax + 1)]
+        return [len(graded_basis(self.n, d)) - ranks[d] - (ranks[d - 1] if d else 0)
+                for d in range(dmax + 1)]
+
     def cohomology(self, dmax: int) -> "CohomologyReport":
         """Dimensions and low-degree representatives of H(A) up to dmax."""
         if dmax < 2:
             raise ValueError("dmax must be at least 2")
-        dims = []
-        # rank(B^T) = rank(B): each image is one row of the transpose.
-        ranks = [sparse_rank(self.images(d)) for d in range(dmax + 1)]
-        for d in range(dmax + 1):
-            total = len(graded_basis(self.n, d))
-            prev = ranks[d - 1] if d > 0 else 0
-            dims.append(total - ranks[d] - prev)
         h1 = [SkewElement.linear(v, self.n) for v in kernel_basis(self.m.T)]
         h2_cocycles, h2_cobounds = self._h2_data()
-        return CohomologyReport(dims=dims, h1_basis=h1, h2_data=(h2_cocycles, h2_cobounds))
+        return CohomologyReport(dims=self.cohomology_dims(dmax), h1_basis=h1,
+                                h2_data=(h2_cocycles, h2_cobounds))
 
     def _h2_data(self):
         z2 = kernel_basis(self.boundary_matrix(2))

@@ -57,6 +57,8 @@ class FinAlg:
         """Structure constants as a flat list, index (i*dim + j)*dim + k."""
         if len(flat) != dim ** 3:
             raise AlgebraError("expected %d structure constants" % dim ** 3)
+        if len(unit) != dim:
+            raise AlgebraError("expected %d unit coordinates" % dim)
         structure = [
             [[flat[(i * dim + j) * dim + k] for k in range(dim)] for j in range(dim)]
             for i in range(dim)

@@ -23,13 +23,7 @@ from .classify import (
 from .dg import DgSpec, cy_probe
 from .finalg import frobenius, recognize_truncated, socle_dim
 from .linalg import Mat
-from .resolution import (
-    InfinitePattern,
-    UnsupportedCase,
-    build_resolution,
-    ext_algebra,
-    verify_resolution,
-)
+from .resolution import InfinitePattern, UnsupportedCase, _resolve, ext_algebra, verify_resolution
 
 
 def n2_presentation(m: Mat) -> Optional[GradedPresentation]:
@@ -71,12 +65,12 @@ def analyze(m: Mat, dmax: int = 6, verify_depth: int = 4, truncate: int = 8) -> 
     if dmax < 0:
         raise ValueError("dmax must be non-negative")
     spec = DgSpec(m)
-    brute = spec.cohomology(max(dmax, 2))
+    brute = spec.cohomology_dims(dmax)
     payload = {
         "n": n,
         "matrix": [[str(x) for x in row] for row in m.data],
         "rank": m.rank(),
-        "cohomology_dims": brute.dims[: dmax + 1],
+        "cohomology_dims": brute,
     }
     problems = []
 
@@ -86,6 +80,7 @@ def analyze(m: Mat, dmax: int = 6, verify_depth: int = 4, truncate: int = 8) -> 
         payload["calabi_yau"] = True
         payload["reason"] = "quantum-plane"
         cy_votes = [True]
+        smooth = True
     else:
         label = classify(m)
         verdict = theorem_c(m)
@@ -95,8 +90,8 @@ def analyze(m: Mat, dmax: int = 6, verify_depth: int = 4, truncate: int = 8) -> 
         payload["verdict"] = verdict.as_dict()
         payload["cy_probe"] = probe.as_dict()
         cy_votes = [verdict.calabi_yau, probe.calabi_yau]
+        smooth = verdict.homologically_smooth
 
-    smooth = payload.get("verdict", {}).get("homologically_smooth", True) if n == 3 else True
     if pres is not None:
         cap = min(dmax, 10)
         pdims = presented_dims(pres, cap)
@@ -107,7 +102,7 @@ def analyze(m: Mat, dmax: int = 6, verify_depth: int = 4, truncate: int = 8) -> 
             # are incomplete (extra relations appear from degree 3 on), so
             # the two dimension engines are not expected to agree there.
             payload["presentation_check"] = "skipped-degenerate-family"
-        elif pdims != brute.dims[: cap + 1]:
+        elif pdims != brute[: cap + 1]:
             problems.append("presented dimensions disagree with brute force")
         else:
             payload["presentation_check"] = "match"
@@ -115,7 +110,7 @@ def analyze(m: Mat, dmax: int = 6, verify_depth: int = 4, truncate: int = 8) -> 
         payload["presentation"] = None
 
     if n == 3:
-        built = build_resolution(m, truncate=truncate)
+        built = _resolve(spec, label, smooth, truncate)
         if isinstance(built, InfinitePattern):
             resolution_info = built.as_dict()
             resolution_info["available"] = True

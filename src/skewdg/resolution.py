@@ -15,7 +15,7 @@ from typing import Optional
 from .classify import CaseLabel, classify, quadric_coefficients, theorem_c
 from .dg import DgSpec, InternalConsistencyError
 from .finalg import AlgebraError, FinAlg
-from .linalg import Mat, Q, complement_in, frac, kernel_basis, sparse_kernel, sparse_rank
+from .linalg import Mat, Q, complement_in, frac, sparse_kernel, sparse_rank
 from .skew import SkewElement, graded_basis, mono_mul, parse_element
 
 
@@ -170,7 +170,8 @@ def verify_resolution(spec: DgSpec, res: SemifreeResolution, dmax: int = 5) -> V
             lhs = spec.differential(rows[j][l])
             rhs = SkewElement.zero(spec.n)
             for k in range(m):
-                rhs = rhs + rows[j][k] * rows[k][l]
+                if not (rows[j][k].is_zero() or rows[k][l].is_zero()):
+                    rhs = rhs + rows[j][k] * rows[k][l]
             if lhs != rhs:
                 square_zero = False
                 failures.append(("square-zero", j, l, str(lhs - rhs)))
@@ -196,8 +197,12 @@ def _h1_representatives(spec: DgSpec, rows):
     n = spec.n
     m = len(rows)
     basis1 = graded_basis(n, 1)
-    cocycles = kernel_basis(Mat.from_sparse_columns(_complex_columns(spec, rows, 1),
-                                                    m * len(graded_basis(n, 2))))
+    # The cocycles are the kernel of d_F on F^1, taken on its sparse rows.
+    d_rows = {}
+    for c, col in enumerate(_complex_columns(spec, rows, 1)):
+        for r, x in col.items():
+            d_rows.setdefault(r, {})[c] = x
+    cocycles = sparse_kernel(d_rows.values(), m * n)
     # Coboundary columns: images of the basis elements e_j.
     bound = []
     for j in range(m):
@@ -321,9 +326,13 @@ def build_resolution(m: Mat, truncate: int = 8):
     not homologically smooth.  A build that does not close on a smooth input
     raises InternalConsistencyError.
     """
-    label = classify(m)
-    spec = DgSpec(m)
-    if not theorem_c(m).homologically_smooth:  # only rank-1 families
+    return _resolve(DgSpec(m), classify(m), theorem_c(m).homologically_smooth, truncate)
+
+
+def _resolve(spec: DgSpec, label: CaseLabel, smooth: bool, truncate: int):
+    """build_resolution over a given spec, with the classification `label`
+    and Theorem C's smoothness verdict `smooth` of its matrix."""
+    if not smooth:  # only rank-1 families
         grid, _complete = eilenberg_moore(spec, max_size=truncate)
         return InfinitePattern(quadric_coefficients(label.params),
                                SemifreeResolution(spec, grid, label))

@@ -72,6 +72,29 @@ NOT_CY = [
     [[1, 1, 1], [1, 1, 1], [2, 2, 2]],
 ]
 
+# One representative per cohomology case of the n = 3 taxonomy; the
+# degenerate-family representatives are the homologically smooth members,
+# whose displayed presentations are complete.
+COHOMOLOGY_CASE_REPS = {
+    1: [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    2: [[1, 0, 0], [0, 1, 0], [0, 0, 0]],
+    3: [[1, 0, 1], [0, 1, 0], [1, 0, 1]],
+    4: [[1, 1, 1], [1, 1, 1], [1, 1, 1]],
+    5: [[2, 1, 1], [2, 1, 1], [0, 0, 0]],
+    6: [[2, 1, 1], [2, 1, 1], [2, 1, 1]],
+    7: [[1, 1, 1], [1, 1, 1], [0, 0, 0]],
+    8: [[0, 1, 0], [0, 0, 0], [0, 1, 0]],
+    9: [[0, 1, 1], [0, 0, 0], [0, 0, 0]],
+    "7b": [[1, 1, 0], [1, 1, 0], [0, 0, 0]],
+    "9b": [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
+}
+
+# The seven published n = 2 families.
+PLANAR_FAMILIES = [
+    [[1, 0], [0, 1]], [[1, 0], [0, 0]], [[0, 1], [0, 0]], [[1, 1], [0, 0]],
+    [[1, 0], [1, 0]], [[2, 1], [1, 2]], [[1, 1], [1, 1]],
+]
+
 
 def fresh_minimal_size(m, dmax=7):
     """Size of the resolution that eilenberg_moore builds for m under a cap

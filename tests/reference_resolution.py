@@ -12,15 +12,18 @@ complex_map_rows writes d_F as a dense Fraction matrix, entry by entry with
 SkewElement products; the package ranks sparse columns of the same map.
 commutant_matrices solves the Ext commutant with one dense row of m^2
 Fractions per equation; the package solves the same system on sparse rows.
+ref_h1_representatives takes the H^1(F) cocycles from the kernel of a dense
+Mat, and ref_square_zero_failures forms every product d[j][k] d[k][l], zero
+factors included; the package takes a sparse kernel and skips zero factors.
 """
 
 from fractions import Fraction as Q
 
 from skewdg.classify import RANK1, RANK2_DEGENERATE, classify, quadric_coefficients
 from skewdg.dg import DgSpec
-from skewdg.linalg import Mat, kernel_basis, solve_linear
+from skewdg.linalg import Mat, complement_in, kernel_basis, solve_linear
 from skewdg.qpl import QplMatrix, chi
-from skewdg.resolution import SemifreeResolution
+from skewdg.resolution import SemifreeResolution, _complex_columns
 from skewdg.skew import SkewElement, coefficient_vector, graded_basis
 
 
@@ -80,6 +83,41 @@ def commutant_matrices(res):
         tuple(Q(1) if idx == p else Q(0) for idx in range(m * m)) for p in range(m * m)
     ]
     return [Mat([[v[j * m + l] for l in range(m)] for j in range(m)]) for v in basis_vecs]
+
+
+def ref_h1_representatives(spec, rows):
+    """Cocycle representatives of H^1(F), as lists of degree-1 coefficients,
+    with the cocycles read off the dense matrix of d_F on F^1."""
+    n = spec.n
+    m = len(rows)
+    basis1 = graded_basis(n, 1)
+    cocycles = kernel_basis(Mat.from_sparse_columns(_complex_columns(spec, rows, 1),
+                                                    m * len(graded_basis(n, 2))))
+    bound = []
+    for j in range(m):
+        col = [Q(0)] * (m * n)
+        for l in range(j):
+            for i, mono in enumerate(basis1):
+                col[l * n + i] = rows[j][l].terms.get(mono, Q(0))
+        bound.append(tuple(col))
+    return [[SkewElement(n, {mono: vec[j * n + i] for i, mono in enumerate(basis1)})
+             for j in range(m)] for vec in complement_in(bound, cocycles)]
+
+
+def ref_square_zero_failures(spec, rows):
+    """The ("square-zero", j, l, d(d[j][l]) - sum_k d[j][k] d[k][l]) failures
+    of a square grid, summing every product."""
+    m = len(rows)
+    failures = []
+    for j in range(m):
+        for l in range(m):
+            lhs = spec.differential(rows[j][l])
+            rhs = SkewElement.zero(spec.n)
+            for k in range(m):
+                rhs = rhs + rows[j][k] * rows[k][l]
+            if lhs != rhs:
+                failures.append(("square-zero", j, l, str(lhs - rhs)))
+    return failures
 
 
 def _row_grid(n, body):

@@ -19,8 +19,9 @@ from itertools import product
 
 import pytest
 
-from conftest import (ERRATUM_1_1, NOT_CY, SUBCASE_BATTERY, SUBCASE_EXT, SUBCASE_SIZE,
-                      fresh_minimal_size, product_rule_size)
+from conftest import (COHOMOLOGY_CASE_REPS, ERRATUM_1_1, NOT_CY, PLANAR_FAMILIES,
+                      SUBCASE_BATTERY, SUBCASE_EXT, SUBCASE_SIZE, fresh_minimal_size,
+                      product_rule_size)
 from skewdg.classify import classify, presentation_of, presented_dims, theorem_c
 from skewdg.dg import DgSpec, cy_probe
 from skewdg.finalg import frobenius, recognize_truncated, sklyanin_e, socle_dim
@@ -140,22 +141,7 @@ def test_criterion_03_isomorphism_regression():
 
 
 def test_criterion_04_cohomology_table():
-    # One representative per cohomology case; the degenerate-family
-    # representatives are the homologically smooth members, whose displayed
-    # presentations are complete.
-    reps = {
-        1: [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-        2: [[1, 0, 0], [0, 1, 0], [0, 0, 0]],
-        3: [[1, 0, 1], [0, 1, 0], [1, 0, 1]],
-        4: [[1, 1, 1], [1, 1, 1], [1, 1, 1]],
-        5: [[2, 1, 1], [2, 1, 1], [0, 0, 0]],
-        6: [[2, 1, 1], [2, 1, 1], [2, 1, 1]],
-        7: [[1, 1, 1], [1, 1, 1], [0, 0, 0]],
-        8: [[0, 1, 0], [0, 0, 0], [0, 1, 0]],
-        9: [[0, 1, 1], [0, 0, 0], [0, 0, 0]],
-        "7b": [[1, 1, 0], [1, 1, 0], [0, 0, 0]],
-        "9b": [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
-    }
+    reps = dict(COHOMOLOGY_CASE_REPS)
     # All subcases of the rank-2 degenerate branch share the case-3 shape.
     for sub, mats in SUBCASE_BATTERY.items():
         reps["3/" + sub] = mats[0]
@@ -166,9 +152,7 @@ def test_criterion_04_cohomology_table():
         pres = presentation_of(classify(m))
         assert presented_dims(pres, 6) == brute, (case, rows)
     # The seven published n = 2 families up to degree 5.
-    n2 = [[[1, 0], [0, 1]], [[1, 0], [0, 0]], [[0, 1], [0, 0]], [[1, 1], [0, 0]],
-          [[1, 0], [1, 0]], [[2, 1], [1, 2]], [[1, 1], [1, 1]]]
-    for rows in n2:
+    for rows in PLANAR_FAMILIES:
         m = Mat(rows)
         pres = n2_presentation(m)
         assert pres is not None, rows

@@ -1,14 +1,23 @@
 """The aggregated report and the command-line surface."""
 
 import json
+import os
+import sys
+from collections import Counter
 
 import pytest
 
+from skewdg import report, resolution
+from skewdg.classify import classify, theorem_c
 from skewdg.cli import main
+from skewdg.dg import DgSpec
 from skewdg.finalg import AlgebraError, FinAlg
 from skewdg.linalg import Mat
 from skewdg.report import analyze, n2_presentation
 from skewdg.resolution import build_resolution, verify_resolution
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden"))
+from make_golden import MATRICES as GOLDEN_MATRICES  # noqa: E402
 
 
 def write_matrix(tmp_path, name, rows, n=3):
@@ -33,6 +42,46 @@ def test_report_nonquasi_isomorphic_pair():
     assert a.payload["cohomology_dims"] == b.payload["cohomology_dims"]
     assert a.payload["resolution"]["ext"]["dim"] == 3
     assert b.payload["resolution"]["ext"]["dim"] == 4
+
+
+def test_analyze_computes_each_answer_once(monkeypatch):
+    # One report builds one DgSpec, classifies once and asks Theorem C once;
+    # the resolution is built over that spec, label and verdict.  The rank-2
+    # degenerate branch of classify builds a DgSpec of its own for its B^2
+    # membership tests, so those are counted apart.
+    counts = Counter()
+    real_init = DgSpec.__init__
+
+    def counted_init(self, m):
+        counts["DgSpec"] += 1
+        real_init(self, m)
+
+    def counted_classify(m, *args, **kwargs):
+        before = counts["DgSpec"]
+        counts["classify"] += 1
+        label = classify(m, *args, **kwargs)
+        counts["DgSpec inside classify"] += counts["DgSpec"] - before
+        return label
+
+    def counted_theorem_c(m):
+        counts["theorem_c"] += 1
+        return theorem_c(m)
+
+    monkeypatch.setattr(DgSpec, "__init__", counted_init)
+    for module in (report, resolution):
+        monkeypatch.setattr(module, "classify", counted_classify)
+        monkeypatch.setattr(module, "theorem_c", counted_theorem_c)
+    checked = 0
+    for name, rows in GOLDEN_MATRICES.items():
+        if len(rows) > 3:
+            continue
+        counts.clear()
+        analyze(Mat(rows))
+        once = 1 if len(rows) == 3 else 0
+        assert (counts["classify"], counts["theorem_c"]) == (once, once), name
+        assert counts["DgSpec"] - counts["DgSpec inside classify"] == 1, name
+        checked += 1
+    assert checked == len(GOLDEN_MATRICES) - 2
 
 
 def test_report_n2():
@@ -184,6 +233,16 @@ def test_cli_frobenius_file(tmp_path, capsys):
     record = json.loads(capsys.readouterr().out)
     assert record["frobenius"] is True
     assert record["truncated_polynomial"] == 4
+
+
+def test_cli_frobenius_unit_length(tmp_path, capsys):
+    # A unit with more (or fewer) coordinates than the dimension is bad
+    # input, not cut to size.
+    for unit in (["1", "5"], []):
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps({"dim": 1, "unit": unit, "structure": ["1"]}))
+        assert main(["frobenius", str(path)]) == 1, unit
+        assert "unit coordinates" in capsys.readouterr().err
 
 
 def test_cli_aut(tmp_path, capsys):

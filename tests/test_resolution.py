@@ -9,7 +9,9 @@ from conftest import (NOT_CY, SUBCASE_BATTERY, SUBCASE_EXT, SUBCASE_SIZE, fresh_
                       product_rule_size)
 from reference_finalg import ref_matrix_algebra
 from reference_linalg import ref_rank
-from reference_resolution import commutant_matrices, complex_map_rows, reference_resolution
+from reference_resolution import (commutant_matrices, complex_map_rows, ref_h1_representatives,
+                                  ref_square_zero_failures, reference_resolution)
+from skewdg import resolution as resolution_module
 from skewdg.dg import DgSpec
 from skewdg.finalg import FinAlg, frobenius, radical_filtration, recognize_truncated, socle_dim
 from skewdg.linalg import Mat
@@ -114,6 +116,53 @@ def test_mutated_resolution_fails_square_zero():
     check = verify_resolution(res.spec, bad, dmax=4)
     assert not check.square_zero
     assert any(f[0] == "square-zero" and (f[1], f[2]) == (2, 0) for f in check.failures)
+
+
+def test_square_zero_failures_match_full_products():
+    # verify_resolution skips the products d[j][k] d[k][l] with a zero
+    # factor; the reference forms every product.  One entry at a time is
+    # perturbed (below the diagonal by x1, nonzero entries also cleared, and
+    # once above the diagonal); both must name the same failures.
+    res = build_resolution(SIX_REPRESENTATIVES["M2"])
+    spec = res.spec
+    zero, x1 = SkewElement.zero(3), SkewElement.variable(1, 3)
+    perturbed = [(j, l, res.d[j][l] + x1) for j in range(res.size) for l in range(j)]
+    perturbed += [(j, l, zero) for j in range(res.size) for l in range(j)
+                  if not res.d[j][l].is_zero()]
+    perturbed.append((0, 1, SkewElement.variable(2, 3)))
+    failing = 0
+    for j, l, entry in [(0, 0, zero)] + perturbed:
+        rows = [row[:] for row in res.d]
+        rows[j][l] = entry
+        check = verify_resolution(spec, SemifreeResolution(spec, rows, res.subcase), dmax=1)
+        want = ref_square_zero_failures(spec, rows)
+        assert [f for f in check.failures if f[0] == "square-zero"] == want, (j, l)
+        assert check.square_zero == (not want)
+        failing += bool(want)
+    assert failing == len(perturbed)
+
+
+def test_h1_representatives_match_dense_kernel(monkeypatch):
+    # Each eilenberg_moore round takes the H^1(F) cocycles from sparse_kernel
+    # on the rows of d_F; the reference takes them from a dense Mat.  The
+    # representatives, and so the resolutions, must be the same.
+    package = resolution_module._h1_representatives
+    rounds = []
+
+    def compared(spec, rows):
+        reps = package(spec, rows)
+        assert reps == ref_h1_representatives(spec, rows), (spec, len(rows))
+        rounds.append(len(reps))
+        return reps
+
+    monkeypatch.setattr(resolution_module, "_h1_representatives", compared)
+    mats = list(SIX_REPRESENTATIVES.values())
+    mats += [Mat(rows) for name, rows in GOLDEN_MATRICES.items() if name.endswith("_image")]
+    for m in mats:
+        grid, complete = eilenberg_moore(DgSpec(m))
+        assert complete, m
+    # Every build ends with a round that finds no class.
+    assert rounds.count(0) == len(mats) and len(rounds) > 2 * len(mats)
 
 
 def test_mutated_entry_degree_fails_minimality():
