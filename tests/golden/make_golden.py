@@ -70,6 +70,7 @@ MATRICES = {
 }
 
 PER_INPUT = (
+    ["validate"],
     ["classify"],
     ["probe"],
     ["aut"],
