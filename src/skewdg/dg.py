@@ -9,6 +9,7 @@ graded Leibniz rule; d^2 = 0 holds for every M.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Optional
 
 from .linalg import (Mat, column_basis, complement_in, kernel_basis, rank_of_columns,
@@ -146,6 +147,18 @@ class DgSpec:
         h2_cocycles = [element_from_vector(v, self.n, 2) for v in reps]
         h2_cobounds = [element_from_vector(v, self.n, 2) for v in column_basis(bound_cols)]
         return h2_cocycles, h2_cobounds
+
+
+def koszul_dims(n: int, rank: int, dmax: int) -> list[int]:
+    """dim H^d(A), 0 <= d <= dmax, for M of rank r: C(d+n-r-1, n-r-1), and
+    1, 0, 0, ... when r = n.  S = k[y_i = x_i^2] is central with d(y_i) = 0;
+    A is S-free on the square-free x_I and d(x_I) = sum_p (-1)^{p-1} f_{i_p}
+    x_{I - i_p} with f = M y, so (A, d) is the Koszul complex K(f; S).  A
+    change of basis of f gives H(A) = S/(l_1..l_r) (x) Lambda(k^{n-r}) for a
+    regular sequence of linear forms l (Eisenbud, Commutative Algebra, 17):
+    Hilbert series (1 + t)^{n-r} / (1 - t^2)^{n-r} = 1 / (1 - t)^{n-r}."""
+    return [comb(d + n - rank - 1, n - rank - 1) if rank < n else int(d == 0)
+            for d in range(dmax + 1)]
 
 
 @dataclass

@@ -14,8 +14,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .linalg import (Mat, Q, column_basis, frac, in_span, kernel_basis, sparse_kernel,
-                     sparse_rows, sparse_rref)
+from .linalg import Mat, Q, frac, in_span, sparse_kernel, sparse_rows, sparse_rref
+from .skew import InternalConsistencyError
 
 
 class AlgebraError(ValueError):
@@ -35,17 +35,20 @@ class FinAlg:
 
     def __init__(self, dim: int, unit: Sequence, structure):
         """structure[i][j] is the dense coordinate vector of b_i b_j."""
+        table = tuple(tuple(tuple((k, c) for k, c in enumerate(map(frac, structure[i][j])) if c)
+                            for j in range(dim)) for i in range(dim))
+        self._finish(dim, tuple(frac(x) for x in unit), table)
+
+    def _finish(self, dim: int, unit: tuple, table: tuple) -> "FinAlg":
+        """Store the unit and the (k, c) pairs, validate, and compute the
+        radical series; returns self."""
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "unit", tuple(frac(x) for x in unit))
-        table = tuple(
-            tuple(tuple((k, c) for k, c in enumerate(map(frac, structure[i][j])) if c)
-                  for j in range(dim))
-            for i in range(dim)
-        )
+        object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "structure", table)
         object.__setattr__(self, "_socle", None)
         self._validate()
         object.__setattr__(self, "radical_powers", self._radical_powers())
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("FinAlg is immutable")
@@ -59,11 +62,8 @@ class FinAlg:
             raise AlgebraError("expected %d structure constants" % dim ** 3)
         if len(unit) != dim:
             raise AlgebraError("expected %d unit coordinates" % dim)
-        structure = [
-            [[flat[(i * dim + j) * dim + k] for k in range(dim)] for j in range(dim)]
-            for i in range(dim)
-        ]
-        return FinAlg(dim, unit, structure)
+        return FinAlg(dim, unit, [[flat[(i * dim + j) * dim: (i * dim + j + 1) * dim]
+                                   for j in range(dim)] for i in range(dim)])
 
     @staticmethod
     def from_matrix_algebra(mats: Sequence[Mat]) -> "FinAlg":
@@ -88,21 +88,21 @@ class FinAlg:
             raise AlgebraError("empty matrix algebra")
         cols = list(mats) + [[{i: Q(1)} for i in range(size)]]
         cols += [_matmul(a, b) for a in mats for b in mats]
-        rows = {}  # matrix cell -> {column of the system: entry}
-        for t, mat in enumerate(cols):
-            for i, row in enumerate(mat):
-                for j, x in row.items():
-                    rows.setdefault(i * size + j, {})[t] = x
-        red, pivots = sparse_rref(rows.values())
+        cells = [{i * size + j: x for i, row in enumerate(mat) for j, x in row.items()}
+                 for mat in cols]
+        red, pivots = sparse_rref(sparse_transpose(cells).values())
         if pivots[:dim] != list(range(dim)):
             raise AlgebraError("the spanning matrices are linearly dependent")
         if dim in pivots:
             raise AlgebraError("identity matrix is not in the span")
         if len(pivots) > dim:
             raise AlgebraError("matrix span is not multiplicatively closed")
-        coords = [[row.get(t, 0) for row in red] for t in range(dim, len(cols))]
-        structure = [coords[1 + i * dim: 1 + (i + 1) * dim] for i in range(dim)]
-        return FinAlg(dim, coords[0], structure)
+        # Column t of the reduced system: the coordinates {k: c} of matrix t.
+        coords = sparse_transpose(red)
+        table = tuple(tuple(tuple(coords.get(dim + 1 + i * dim + j, {}).items())
+                            for j in range(dim)) for i in range(dim))
+        return object.__new__(FinAlg)._finish(
+            dim, tuple(coords.get(dim, {}).get(k, Q(0)) for k in range(dim)), table)
 
     # -- validation -----------------------------------------------------------
 
@@ -110,59 +110,78 @@ class FinAlg:
         m, s = self.dim, self.structure
         unit = [(a, u) for a, u in zip(range(m), self.unit) if u]
         for i in range(m):
-            b_i = {i: 1}
-            if (_lincomb((u, s[a][i]) for a, u in unit) != b_i
-                    or _lincomb((u, s[i][a]) for a, u in unit) != b_i):
-                raise AlgebraError("unit law fails on basis element %d" % i)
+            for acc in (self._product(unit, [(i, 1)]), self._product([(i, 1)], unit)):
+                if {k: x for k, x in acc.items() if x} != {i: 1}:
+                    raise AlgebraError("unit law fails on basis element %d" % i)
         # b_i (b_j b_k) = (b_i b_j) b_k, where b_j b_k = sum_l c[j][k][l] b_l.
-        for i in range(m):
-            for j in range(m):
-                for k in range(m):
-                    if (_lincomb((c, s[i][l]) for l, c in s[j][k])
-                            != _lincomb((c, s[l][k]) for l, c in s[i][j])):
+        # By the unit law, it holds on the triples holding a unit b_e.
+        e = unit[0][0] if [u for _, u in unit] == [1] else None
+        for i, si in enumerate(s):
+            for j, sij in enumerate(si):
+                for k, sjk in enumerate(s[j]):
+                    if e in (i, j, k) or not (sij or sjk):
+                        continue
+                    diff = {}
+                    for l, c in sjk:
+                        for t, x in si[l]:
+                            diff[t] = diff.get(t, 0) + c * x
+                    for l, c in sij:
+                        for t, x in s[l][k]:
+                            diff[t] = diff.get(t, 0) - c * x
+                    if any(diff.values()):
                         raise AlgebraError(
                             "associativity fails on basis triple (%d, %d, %d)" % (i, j, k))
 
     # -- arithmetic -------------------------------------------------------------
 
     def multiply(self, x: Sequence, y: Sequence) -> tuple:
-        out = [Q(0)] * self.dim
-        ys = [(j, yj) for j, yj in enumerate(y) if yj]
-        for xi, row in zip(x, self.structure):
-            if xi:
-                for j, yj in ys:
+        out = self._product(_terms(x), _terms(y))
+        return tuple(out.get(k, Q(0)) for k in range(self.dim))
+
+    def _product(self, xs, ys) -> dict:
+        """x y as {k: coordinate}, for x and y given as their nonzero
+        (index, coordinate) pairs."""
+        out = {}
+        for i, xi in xs:
+            row = self.structure[i]
+            for j, yj in ys:
+                if row[j]:
                     c = xi * yj
                     for k, ck in row[j]:
-                        out[k] += c * ck
-        return tuple(out)
+                        out[k] = out[k] + c * ck if k in out else c * ck
+        return out
 
     def is_commutative(self) -> bool:
-        m = self.dim
-        for i in range(m):
-            for j in range(i + 1, m):
-                if self.structure[i][j] != self.structure[j][i]:
-                    return False
-        return True
+        s = self.structure
+        return all(s[i][j] == s[j][i] for i in range(self.dim) for j in range(i))
 
     # -- radical / socle ----------------------------------------------------------
+
+    def _trace_form(self) -> list[dict]:
+        """Rows {j: tr(L_i L_j)}.  L is a representation (_validate has passed),
+        so tr(L_i L_j) = tr(L_{b_i b_j}) = sum_k c[i][j][k] tr(L_k)."""
+        trace = [sum(c for l, pairs in enumerate(row) for k, c in pairs if k == l)
+                 for row in self.structure]
+        return [{j: x for j, pairs in enumerate(row) if (x := sum(c * trace[k] for k, c in pairs))}
+                for row in self.structure]
 
     def _radical_powers(self) -> tuple:
         """Bases of rad, rad^2, ..., ending with the first empty power.
 
-        The radical is the kernel of the trace form (char 0), read straight
-        off the structure constants: tr(L_i L_j) = sum_{k,l} c[i][l][k] c[j][k][l].
-        rad^{i+1} is spanned by the products x y with x in rad^i, y in rad.
+        The radical is the kernel of the trace form (char 0).  rad^{i+1} is
+        spanned by the products x y with x in rad^i, y in rad; its basis is
+        the products at the pivots of their sparse rows.
         """
-        m, s = self.dim, self.structure
-        lookup = [[dict(pairs) for pairs in row] for row in s]
-        gram = []
-        for si in s:
-            terms = [(k, l, a) for l, pairs in enumerate(si) for k, a in pairs]
-            gram.append([sum(a * cj[k].get(l, 0) for k, l, a in terms) for cj in lookup])
-        rad = kernel_basis(Mat(gram))
+        rad = sparse_kernel(self._trace_form(), self.dim)
+        rad_terms = [_terms(y) for y in rad]
         powers = [rad]
         while powers[-1]:
-            powers.append(column_basis([self.multiply(x, y) for x in powers[-1] for y in rad]))
+            products = [self._product(xs, ys)
+                        for xs in map(_terms, powers[-1]) for ys in rad_terms]
+            powers.append([tuple(products[t].get(k, Q(0)) for k in range(self.dim))
+                           for t in sparse_rref(sparse_transpose(products).values())[1]])
+            if len(powers[-1]) == len(powers[-2]):
+                raise InternalConsistencyError("the trace-form radical is not nilpotent")
         return tuple(tuple(p) for p in powers)
 
     def is_local(self) -> bool:
@@ -185,18 +204,12 @@ class FinAlg:
         if not self.is_local():
             raise AlgebraError("socle criterion applies to local algebras only")
         if self._socle is None:
-            m, s = self.dim, self.structure
+            m = self.dim
             rows = []
-            for r in self.radical_powers[0]:
-                nonzero = [(a, ra) for a, ra in enumerate(r) if ra]
+            for r in map(_terms, self.radical_powers[0]):
                 # Column j of L_r and of R_r: the coordinates of r b_j and b_j r.
-                for cols in ([_lincomb((ra, s[a][j]) for a, ra in nonzero) for j in range(m)],
-                             [_lincomb((ra, s[j][a]) for a, ra in nonzero) for j in range(m)]):
-                    mat = {}
-                    for j, col in enumerate(cols):
-                        for k, x in col.items():
-                            mat.setdefault(k, {})[j] = x
-                    rows += mat.values()
+                rows += sparse_transpose([self._product(r, [(j, 1)]) for j in range(m)]).values()
+                rows += sparse_transpose([self._product([(j, 1)], r) for j in range(m)]).values()
             object.__setattr__(self, "_socle", tuple(sparse_kernel(rows, m)))
         return list(self._socle)
 
@@ -213,34 +226,31 @@ def _matmul(a: list[dict], b: list[dict]) -> list[dict]:
     return out
 
 
-def _lincomb(terms) -> dict:
-    """sum_t c_t v_t over (c_t, v_t) in terms, each v_t a tuple of (k, value)
-    pairs, as {k: nonzero value}."""
-    out = {}
-    for c, pairs in terms:
-        for k, x in pairs:
-            out[k] = out.get(k, 0) + c * x
-    return {k: x for k, x in out.items() if x}
+def sparse_transpose(cols: Sequence[dict]) -> dict:
+    """{row: {column: entry}} of the matrix with the sparse columns cols,
+    each {row: entry}, without its zero entries."""
+    rows = {}
+    for c, col in enumerate(cols):
+        for r, x in col.items():
+            if x:
+                rows.setdefault(r, {})[c] = x
+    return rows
+
+
+def _terms(v: Sequence) -> list:
+    """The nonzero (index, coordinate) pairs of a dense vector."""
+    return [(i, x) for i, x in enumerate(v) if x]
 
 
 def sklyanin_e(lam, mu, nu) -> FinAlg:
     """The four-dimensional commutative family on 1, e1, e2, e3 with
     e1 e1 = lam e3, e1 e2 = nu e3, e2 e2 = mu e3 and e3 annihilating the
     radical."""
-    lam, mu, nu = frac(lam), frac(mu), frac(nu)
-    z = [Q(0)] * 4
-
-    def vec(*entries):
-        return list(entries)
-
-    structure = [[list(z) for _ in range(4)] for _ in range(4)]
+    structure = [[[0] * 4 for _ in range(4)] for _ in range(4)]
     for i in range(4):
-        structure[0][i] = vec(*(Q(1) if k == i else Q(0) for k in range(4)))
-        structure[i][0] = vec(*(Q(1) if k == i else Q(0) for k in range(4)))
-    structure[1][1] = vec(Q(0), Q(0), Q(0), lam)
-    structure[1][2] = vec(Q(0), Q(0), Q(0), nu)
-    structure[2][1] = vec(Q(0), Q(0), Q(0), nu)
-    structure[2][2] = vec(Q(0), Q(0), Q(0), mu)
+        structure[0][i][i] = structure[i][0][i] = 1
+    structure[1][1][3], structure[2][2][3] = lam, mu
+    structure[1][2][3] = structure[2][1][3] = nu
     return FinAlg(4, (1, 0, 0, 0), structure)
 
 
@@ -275,7 +285,13 @@ def _gram(e: FinAlg, functional: Sequence) -> Mat:
 def _commutator_annihilator(e: FinAlg) -> list[tuple]:
     """Functionals vanishing on all commutators b_i b_j - b_j b_i."""
     m, s = e.dim, e.structure
-    rows = [_lincomb(((1, s[i][j]), (-1, s[j][i]))) for i in range(m) for j in range(i + 1, m)]
+    rows = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            row = dict(s[i][j])
+            for k, x in s[j][i]:
+                row[k] = row.get(k, 0) - x
+            rows.append({k: x for k, x in row.items() if x})
     return sparse_kernel(rows, m)
 
 
@@ -293,8 +309,7 @@ def frobenius(e: FinAlg, trials: int = 64, seed: int = 0) -> FrobeniusVerdict:
         return FrobeniusVerdict(frob, frob, "socle-criterion")
     rng = random.Random(seed)
     sym_space = _commutator_annihilator(e)
-    found = None
-    found_sym = None
+    found = found_sym = None
     for _ in range(trials):
         functional = tuple(Q(rng.randint(-9, 9)) for _ in range(e.dim))
         if found is None and _gram(e, functional).rank() == e.dim:

@@ -20,7 +20,7 @@ from .classify import (
     presented_dims,
     theorem_c,
 )
-from .dg import DgSpec, cy_probe
+from .dg import DgSpec, cy_probe, koszul_dims
 from .finalg import frobenius, recognize_truncated, socle_dim
 from .linalg import Mat
 from .resolution import InfinitePattern, UnsupportedCase, _resolve, ext_algebra, verify_resolution
@@ -73,6 +73,8 @@ def analyze(m: Mat, dmax: int = 6, verify_depth: int = 4, truncate: int = 8) -> 
         "cohomology_dims": brute,
     }
     problems = []
+    if brute != koszul_dims(n, payload["rank"], dmax):
+        problems.append("cohomology dimensions disagree with the Koszul closed form")
 
     pres = None
     if n == 2:

@@ -14,8 +14,8 @@ from typing import Optional
 
 from .classify import CaseLabel, classify, quadric_coefficients, theorem_c
 from .dg import DgSpec, InternalConsistencyError
-from .finalg import AlgebraError, FinAlg
-from .linalg import Mat, Q, complement_in, frac, sparse_kernel, sparse_rank
+from .finalg import AlgebraError, FinAlg, sparse_transpose
+from .linalg import Mat, frac, sparse_kernel, sparse_rank, sparse_rref
 from .skew import SkewElement, graded_basis, mono_mul, parse_element
 
 
@@ -76,46 +76,51 @@ class InfinitePattern:
 # -- the complex F = A (x) k^m and its cohomology -------------------------------
 
 
+_SHIFTS = {}  # (n, degree) -> _shift_table; depends on nothing else, so kept once built
+
+
+def _shift_table(n: int, degree: int):
+    """(dim A^{degree+1}, table), table[s][g] = (sign, t) for (-1)^degree (monomial
+    s) g = sign (monomial t): g of degree 1, s and t indices into graded_basis."""
+    if (n, degree) not in _SHIFTS:
+        index = {mono: i for i, mono in enumerate(graded_basis(n, degree + 1))}
+        products = [{g: mono_mul(mono, g) for g in graded_basis(n, 1)}
+                    for mono in graded_basis(n, degree)]
+        _SHIFTS[n, degree] = (len(index), [{g: (sign * (-1) ** degree, index[prod])
+                                            for g, (sign, prod) in row.items()}
+                                           for row in products])
+    return _SHIFTS[n, degree]
+
+
 def _complex_columns(spec: DgSpec, rows, degree: int) -> list[dict]:
     """d_F : F^degree -> F^{degree+1} as sparse columns.
 
     Column j*|src| + s is the image of (monomial s) e_j, keyed by target
     index l*|dst| + (monomial index): its e_j block is the image of the
     monomial under d_A, and its e_l block for l < j is (-1)^degree times
-    the monomial times d[j][l].
+    the monomial times the linear d[j][l], one shift-table lookup per term.
     """
-    n = spec.n
-    src = graded_basis(n, degree)
-    dst_index = {mono: i for i, mono in enumerate(graded_basis(n, degree + 1))}
-    ndst = len(dst_index)
-    sign = -1 if degree % 2 else 1
+    ndst, shifts = _shift_table(spec.n, degree)
     images = spec.images(degree)
     cols = []
     for j, row in enumerate(rows):
-        for mono, image in zip(src, images):
+        lower = [(l * ndst, tuple(row[l].terms.items())) for l in range(j) if row[l].terms]
+        for shift, image in zip(shifts, images):
             col = {j * ndst + r: c for r, c in image.items()}
-            for l in range(j):
-                # mono * d[j][l], term by term: mono times one monomial of
-                # the entry is a single signed monomial.
-                for mo, c in row[l].terms.items():
-                    mono_sign, prod = mono_mul(mono, mo)
-                    col[l * ndst + dst_index[prod]] = c if mono_sign == sign else -c
+            for base, terms in lower:
+                for g, c in terms:
+                    sign, t = shift[g]
+                    col[base + t] = c if sign > 0 else -c
             cols.append(col)
     return cols
 
 
 def complex_cohomology_dims(spec: DgSpec, rows, dmax: int) -> list[int]:
     """dim H^i of the semifree complex for 0 <= i <= dmax - 1."""
-    n = spec.n
-    m = len(rows)
     # rank(B^T) = rank(B): each column of d_F is one row of its transpose.
-    ranks = [sparse_rank(_complex_columns(spec, rows, d)) for d in range(dmax)]
-    dims = []
-    for i in range(dmax):
-        total = m * len(graded_basis(n, i))
-        prev = ranks[i - 1] if i > 0 else 0
-        dims.append(total - ranks[i] - prev)
-    return dims
+    ranks = [0] + [sparse_rank(_complex_columns(spec, rows, d)) for d in range(dmax)]
+    return [len(rows) * len(graded_basis(spec.n, i)) - ranks[i + 1] - ranks[i]
+            for i in range(dmax)]
 
 
 @dataclass
@@ -164,17 +169,23 @@ def verify_resolution(spec: DgSpec, res: SemifreeResolution, dmax: int = 5) -> V
                 minimal = False
                 graded = False
                 failures.append(("entry-degree", j, l, sorted(entry.degrees())))
+    # d(d[j][l]) - sum_k d[j][k] d[k][l] on the terms; only a failure becomes an element.
     square_zero = True
+    nonzero = [[(k, e.terms.items()) for k, e in enumerate(row) if e.terms] for row in rows]
     for j in range(m):
         for l in range(m):
-            lhs = spec.differential(rows[j][l])
-            rhs = SkewElement.zero(spec.n)
-            for k in range(m):
-                if not (rows[j][k].is_zero() or rows[k][l].is_zero()):
-                    rhs = rhs + rows[j][k] * rows[k][l]
-            if lhs != rhs:
+            acc = {}
+            for mono, c in rows[j][l].terms.items():
+                for key, x in spec._monomial_image(mono):
+                    acc[key] = acc.get(key, 0) + c * x
+            for k, left in nonzero[j]:
+                for a, x in left:
+                    for b, y in rows[k][l].terms.items():
+                        sign, key = mono_mul(a, b)
+                        acc[key] = acc.get(key, 0) - sign * x * y
+            if any(acc.values()):
                 square_zero = False
-                failures.append(("square-zero", j, l, str(lhs - rhs)))
+                failures.append(("square-zero", j, l, str(SkewElement(spec.n, acc))))
     if graded:
         dims = complex_cohomology_dims(spec, rows, dmax)
         exact = dims[0] == 1 and all(x == 0 for x in dims[1:])
@@ -196,23 +207,16 @@ def _h1_representatives(spec: DgSpec, rows):
     """Cocycle representatives of H^1(F), as lists of degree-1 coefficients."""
     n = spec.n
     m = len(rows)
-    basis1 = graded_basis(n, 1)
+    index = {mono: i for i, mono in enumerate(graded_basis(n, 1))}
     # The cocycles are the kernel of d_F on F^1, taken on its sparse rows.
-    d_rows = {}
-    for c, col in enumerate(_complex_columns(spec, rows, 1)):
-        for r, x in col.items():
-            d_rows.setdefault(r, {})[c] = x
-    cocycles = sparse_kernel(d_rows.values(), m * n)
-    # Coboundary columns: images of the basis elements e_j.
-    bound = []
-    for j in range(m):
-        col = [Q(0)] * (m * n)
-        for l in range(j):
-            for i, mono in enumerate(basis1):
-                col[l * n + i] = rows[j][l].terms.get(mono, Q(0))
-        bound.append(tuple(col))
-    return [[SkewElement(n, {mono: vec[j * n + i] for i, mono in enumerate(basis1)})
-             for j in range(m)] for vec in complement_in(bound, cocycles)]
+    cocycles = sparse_kernel(sparse_transpose(_complex_columns(spec, rows, 1)).values(), m * n)
+    # The cocycles at the pivots of [coboundaries | cocycles]; column j < m is d(e_j).
+    cols = [{l * n + index[mono]: c for l in range(j) for mono, c in row[l].terms.items()}
+            for j, row in enumerate(rows)]
+    cols += [{r: x for r, x in enumerate(vec) if x} for vec in cocycles]
+    reps = [cocycles[c - m] for c in sparse_rref(sparse_transpose(cols).values())[1] if c >= m]
+    return [[SkewElement(n, {mono: vec[j * n + i] for mono, i in index.items()})
+             for j in range(m)] for vec in reps]
 
 
 def _square_grid(spec: DgSpec, rows) -> list:
@@ -227,6 +231,8 @@ def eilenberg_moore(spec: DgSpec, max_size: int = 64):
     Returns (grid, complete); complete is False when the size cap stops the
     construction first (the homologically non-smooth families).
     """
+    if max_size < 1:
+        raise ValueError("max_size must be at least 1")
     zero = SkewElement.zero(spec.n)
     rows = [[]]  # row j carries entries for columns 0..j-1
     while True:
@@ -302,19 +308,11 @@ PUBLISHED_GRIDS = {
 }
 
 
-def _grid_from_table(table) -> list:
-    rows = [[parse_element(s, 3) for s in line] for line in table]
-    size = len(rows) + 1
-    zero = SkewElement.zero(3)
-    return [[rows[j - 1][l] if j >= 1 and l < len(rows[j - 1]) else zero
-             for l in range(size)] for j in range(size)]
-
-
 def published_resolution(name: str) -> SemifreeResolution:
     """The grid exactly as published, for comparison and falsification."""
-    rep = SIX_REPRESENTATIVES[name]
-    return SemifreeResolution(DgSpec(rep), _grid_from_table(PUBLISHED_GRIDS[name]),
-                              classify(rep))
+    spec = DgSpec(SIX_REPRESENTATIVES[name])
+    rows = [[]] + [[parse_element(s, 3) for s in line] for line in PUBLISHED_GRIDS[name]]
+    return SemifreeResolution(spec, _square_grid(spec, rows), classify(spec.m))
 
 
 def build_resolution(m: Mat, truncate: int = 8):
@@ -365,8 +363,13 @@ def ext_algebra(res: SemifreeResolution) -> FinAlg:
         for l in range(m):
             row = eqs.setdefault((j, l, mono), {})
             row[k * m + l] = row.get(k * m + l, 0) - c
-    basis_vecs = sparse_kernel(({u: c for u, c in row.items() if c} for row in eqs.values()),
-                               m * m)
+    # A one-term equation fixes its unknown to 0: clearing it from the other rows and keeping
+    # one row u = 0 leaves the row space, so the reduced form and kernel basis, unchanged.
+    eqs = [{u: c for u, c in row.items() if c} for row in eqs.values()]
+    fixed = {next(iter(row)) for row in eqs if len(row) == 1}
+    system = [{u: 1} for u in fixed]
+    system += [{u: c for u, c in row.items() if u not in fixed} for row in eqs if len(row) > 1]
+    basis_vecs = sparse_kernel(system, m * m)
     mats = [[{l: v[j * m + l] for l in range(m) if v[j * m + l]} for j in range(m)]
             for v in basis_vecs]
     try:

@@ -3,7 +3,8 @@ left-multiplication matrices, and dense structure constants.
 
 The radical is the kernel of the Gram matrix tr(L_i L_j), with each L_i L_j
 formed as a matrix product, instead of the package's closed formula in the
-structure constants.  The socle is intersected with the radical explicitly,
+structure constants.  ref_trace_gram is the closed formula the package used
+before it read the Gram off tr(L_k): sum_{k,l} c[i][l][k] c[j][k][l].  The socle is intersected with the radical explicitly,
 and the truncated-polynomial generator is lifted by solving against rad^2.
 Every function takes the radical basis from ref_radical_basis so that a
 caller computes it once per algebra.
@@ -47,6 +48,16 @@ def ref_radical_basis(e):
             row.append(sum(prod[k, k] for k in range(m)))
         gram.append(row)
     return kernel_basis(Mat(gram))
+
+
+def ref_trace_gram(e):
+    """tr(L_i L_j) = sum_{k,l} c[i][l][k] c[j][k][l], as dense rows."""
+    lookup = [[dict(pairs) for pairs in row] for row in e.structure]
+    gram = []
+    for si in e.structure:
+        terms = [(k, l, a) for l, pairs in enumerate(si) for k, a in pairs]
+        gram.append([sum(a * cj[k].get(l, 0) for k, l, a in terms) for cj in lookup])
+    return gram
 
 
 def ref_radical_filtration(e, rad):

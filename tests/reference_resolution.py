@@ -10,6 +10,9 @@ the two routes to agree on size and Ext dimension.
 
 complex_map_rows writes d_F as a dense Fraction matrix, entry by entry with
 SkewElement products; the package ranks sparse columns of the same map.
+ref_complex_columns builds those sparse columns with one mono_mul per term
+and a fresh monomial index per call; the package looks each term up in a
+shift table kept per (n, degree).
 commutant_matrices solves the Ext commutant with one dense row of m^2
 Fractions per equation; the package solves the same system on sparse rows.
 ref_h1_representatives takes the H^1(F) cocycles from the kernel of a dense
@@ -23,8 +26,8 @@ from skewdg.classify import RANK1, RANK2_DEGENERATE, classify, quadric_coefficie
 from skewdg.dg import DgSpec
 from skewdg.linalg import Mat, complement_in, kernel_basis, solve_linear
 from skewdg.qpl import QplMatrix, chi
-from skewdg.resolution import SemifreeResolution, _complex_columns
-from skewdg.skew import SkewElement, coefficient_vector, graded_basis
+from skewdg.resolution import SemifreeResolution
+from skewdg.skew import SkewElement, coefficient_vector, graded_basis, mono_mul
 
 
 def complex_map_rows(spec, rows, degree):
@@ -55,6 +58,27 @@ def complex_map_rows(spec, rows, degree):
                 for mo, c in prod.terms.items():
                     out[l * len(dst) + dst_index[mo]][col] += sign * c
     return out
+
+
+def ref_complex_columns(spec, rows, degree):
+    """d_F : F^degree -> F^{degree+1} as sparse columns {target index: entry},
+    column j*|src| + s for (monomial s) e_j, each term of d[j][l] multiplied
+    by mono_mul."""
+    n = spec.n
+    src = graded_basis(n, degree)
+    dst_index = {mono: i for i, mono in enumerate(graded_basis(n, degree + 1))}
+    ndst = len(dst_index)
+    sign = -1 if degree % 2 else 1
+    cols = []
+    for j, row in enumerate(rows):
+        for mono, image in zip(src, spec.images(degree)):
+            col = {j * ndst + r: c for r, c in image.items()}
+            for l in range(j):
+                for mo, c in row[l].terms.items():
+                    mono_sign, prod = mono_mul(mono, mo)
+                    col[l * ndst + dst_index[prod]] = c if mono_sign == sign else -c
+            cols.append(col)
+    return cols
 
 
 def commutant_matrices(res):
@@ -91,7 +115,7 @@ def ref_h1_representatives(spec, rows):
     n = spec.n
     m = len(rows)
     basis1 = graded_basis(n, 1)
-    cocycles = kernel_basis(Mat.from_sparse_columns(_complex_columns(spec, rows, 1),
+    cocycles = kernel_basis(Mat.from_sparse_columns(ref_complex_columns(spec, rows, 1),
                                                     m * len(graded_basis(n, 2))))
     bound = []
     for j in range(m):

@@ -4,9 +4,11 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference_linalg import ref_rank
 
-from skewdg.dg import DgSpec, InternalConsistencyError, cup_kernel, cy_probe
+from skewdg.dg import DgSpec, InternalConsistencyError, cup_kernel, cy_probe, koszul_dims
 from skewdg.linalg import Mat
 from skewdg.skew import SkewElement, graded_basis
 
@@ -135,6 +137,54 @@ def test_internal_dimension_consistency():
             total = len(graded_basis(spec.n, d))
             prev = ranks[d - 1] if d else 0
             assert rep.dims[d] == total - ranks[d] - prev, (rows, d)
+
+
+# Degrees to which the brute force is compared with the Koszul closed form.
+KOSZUL_DEGREES = {1: 8, 2: 7, 3: 6, 4: 5, 5: 4}
+RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+def _product_matrix(a, b, n):
+    """A B for A n x r and B r x n: a matrix of rank at most r."""
+    return Mat([[sum((a[i][k] * b[k][j] for k in range(len(b))), Q(0)) for j in range(n)]
+                for i in range(n)])
+
+
+@st.composite
+def low_rank_matrices(draw):
+    n = draw(st.integers(1, 5))
+    r = draw(st.integers(0, n))
+    a = draw(st.lists(st.lists(RATIONALS, min_size=r, max_size=r), min_size=n, max_size=n))
+    b = draw(st.lists(st.lists(RATIONALS, min_size=n, max_size=n), min_size=r, max_size=r))
+    return _product_matrix(a, b, n), r
+
+
+@settings(max_examples=60, deadline=None)
+@given(low_rank_matrices())
+def test_koszul_dims_match_brute_force(case):
+    # (A, d) is the Koszul complex of M y over k[y_i = x_i^2], so dim H^d
+    # depends on n and rank M alone.
+    m, r = case
+    assert m.rank() <= r
+    dmax = KOSZUL_DEGREES[m.rows]
+    assert DgSpec(m).cohomology_dims(dmax) == koszul_dims(m.rows, m.rank(), dmax), m
+
+
+def test_koszul_dims_every_rank():
+    assert koszul_dims(3, 1, 6) == [1, 2, 3, 4, 5, 6, 7]
+    assert koszul_dims(3, 0, 3) == [1, 3, 6, 10]
+    assert koszul_dims(4, 4, 3) == [1, 0, 0, 0]
+    rng = random.Random(29)
+    for n in range(1, 6):
+        for r in range(n + 1):
+            while True:
+                a = [[Q(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(r)] for _ in range(n)]
+                b = [[Q(rng.randint(-2, 2)) for _ in range(n)] for _ in range(r)]
+                m = _product_matrix(a, b, n)
+                if m.rank() == r:
+                    break
+            dmax = KOSZUL_DEGREES[n]
+            assert DgSpec(m).cohomology_dims(dmax) == koszul_dims(n, r, dmax), m
 
 
 def test_cup_kernel_rank3_is_empty():

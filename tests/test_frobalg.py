@@ -27,6 +27,7 @@ from reference_finalg import (
     ref_recognize_truncated,
     ref_sklyanin_table,
     ref_socle_basis,
+    ref_trace_gram,
 )
 
 
@@ -264,6 +265,10 @@ def _matrix_algebras():
 def test_radical_series_matches_reference(subcase_resolutions, representative_resolutions):
     seen = set()
     for name, alg in _reference_algebras(subcase_resolutions, representative_resolutions):
+        # The package reads tr(L_i L_j) off tr(L_k); the reference sums
+        # c[i][l][k] c[j][k][l].
+        gram = [[row.get(j, 0) for j in range(alg.dim)] for row in alg._trace_form()]
+        assert gram == ref_trace_gram(alg), name
         rad = ref_radical_basis(alg)
         assert list(alg.radical_powers[0]) == rad, name
         assert radical_filtration(alg) == ref_radical_filtration(alg, rad), name

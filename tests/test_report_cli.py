@@ -14,7 +14,7 @@ from skewdg.dg import DgSpec
 from skewdg.finalg import AlgebraError, FinAlg
 from skewdg.linalg import Mat
 from skewdg.report import analyze, n2_presentation
-from skewdg.resolution import build_resolution, verify_resolution
+from skewdg.resolution import build_resolution, eilenberg_moore, verify_resolution
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden"))
 from make_golden import MATRICES as GOLDEN_MATRICES  # noqa: E402
@@ -158,6 +158,17 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         verify_resolution(res.spec, res, dmax=0)
     with pytest.raises(ValueError, match="dmax"):
         analyze(m3, dmax=-1)
+    # A truncation is a prefix of at most --truncate generators, and every
+    # prefix holds e_0: a cap below 1 is bad input.
+    for command in ("resolve", "ext", "report"):
+        for value in ("0", "-2"):
+            assert main([command, n3, "--truncate", value]) == 1, (command, value)
+    with pytest.raises(ValueError, match="max_size"):
+        eilenberg_moore(DgSpec(m3), max_size=0)
+    not_cy = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "inputs",
+                          "not_cy.json")
+    assert main(["report", not_cy, "--truncate", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["resolution"]["truncation"]["size"] == 1
 
     # A ValueError raised inside the library is a bug, not bad input: it
     # propagates with its traceback instead of becoming exit code 1.
@@ -176,6 +187,44 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(FinAlg, "from_sparse_matrices", staticmethod(not_closed))
     assert main(["ext", n3]) == 3
     assert "not closed" in capsys.readouterr().err
+
+
+def test_koszul_disagreement_is_inconsistent(tmp_path, capsys, monkeypatch):
+    # cohomology and report compare the brute-force dims with the Koszul
+    # closed form; a disagreement is an internal inconsistency.
+    path = write_matrix(tmp_path, "m1.json", [[0, 1, 1], [0, 0, 0], [0, 0, 0]])
+    problem = "cohomology dimensions disagree with the Koszul closed form"
+    for module in ("cli", "report"):
+        monkeypatch.setattr("skewdg.%s.koszul_dims" % module,
+                            lambda n, rank, dmax: [1] * (dmax + 1))
+    assert main(["cohomology", path]) == 3
+    assert json.loads(capsys.readouterr().out)["problems"] == [problem]
+    assert main(["report", path]) == 3
+    record = json.loads(capsys.readouterr().out)
+    assert record["problems"] == [problem] and record["consistent"] is False
+
+
+def test_validate_composes_the_images(capsys, monkeypatch):
+    # validate decides d^2 = 0 by composing the images of adjacent degrees;
+    # one flipped sign in the degree-2 images must show.
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "inputs",
+                        "not_cy.json")
+    assert main(["validate", path]) == 0
+    capsys.readouterr()
+    real = DgSpec.images
+
+    def flipped(self, d):
+        images = [dict(col) for col in real(self, d)]
+        if d == 2:
+            col = next(col for col in images if col)
+            key = next(iter(col))
+            col[key] = -col[key]
+        return images
+
+    monkeypatch.setattr(DgSpec, "images", flipped)
+    assert main(["validate", path]) == 3
+    record = json.loads(capsys.readouterr().out)
+    assert record["square_zero"] is False and record["leibniz_on_low_degrees"] is True
 
 
 def test_cli_cohomology_max_degree(tmp_path, capsys):

@@ -9,8 +9,9 @@ from conftest import (NOT_CY, SUBCASE_BATTERY, SUBCASE_EXT, SUBCASE_SIZE, fresh_
                       product_rule_size)
 from reference_finalg import ref_matrix_algebra
 from reference_linalg import ref_rank
-from reference_resolution import (commutant_matrices, complex_map_rows, ref_h1_representatives,
-                                  ref_square_zero_failures, reference_resolution)
+from reference_resolution import (commutant_matrices, complex_map_rows, ref_complex_columns,
+                                  ref_h1_representatives, ref_square_zero_failures,
+                                  reference_resolution)
 from skewdg import resolution as resolution_module
 from skewdg.dg import DgSpec
 from skewdg.finalg import FinAlg, frobenius, radical_filtration, recognize_truncated, socle_dim
@@ -266,6 +267,54 @@ def test_complex_dims_match_dense_reference(representative_resolutions):
         expect = [res.size * len(graded_basis(3, i)) - ranks[i] - (ranks[i - 1] if i else 0)
                   for i in range(dmax)]
         assert complex_cohomology_dims(res.spec, res.d, dmax) == expect, name
+
+
+def test_complex_columns_match_per_term_reference(monkeypatch):
+    # _complex_columns looks each term of d[j][l] up in a shift table kept
+    # per (n, degree) for the life of the process; the reference multiplies
+    # term by term.  The degrees are the outer loop, so every table is
+    # filled with the four n interleaved: a table shared between n gives
+    # wrong columns or a missing key.
+    monkeypatch.setattr(resolution_module, "_SHIFTS", {})
+    rng = random.Random(71)
+    cases = [("M1", build_resolution(SIX_REPRESENTATIVES["M1"])),
+             ("published M3", published_resolution("M3"))]
+    for n in (2, 3, 4, 5):
+        # A lower-triangular grid of random linear entries, some zero.
+        size = 5
+        grid = [[SkewElement.linear([Q(rng.choice([0, 0, 1, -1, 2]), rng.choice([1, 1, 3]))
+                                     for _ in range(n)], n) if l < j else SkewElement.zero(n)
+                 for l in range(size)] for j in range(size)]
+        spec = DgSpec(Mat([[rng.choice([0, 1, -1, Q(1, 2)]) for _ in range(n)]
+                           for _ in range(n)]))
+        cases.append(("random n = %d" % n, SemifreeResolution(spec, grid, None)))
+    assert len({res.spec.n for _, res in cases}) == 4
+    for degree in range(7):
+        for name, res in cases:
+            assert (resolution_module._complex_columns(res.spec, res.d, degree)
+                    == ref_complex_columns(res.spec, res.d, degree)), (name, degree)
+    assert {key[0] for key in resolution_module._SHIFTS} == {2, 3, 4, 5}
+
+
+def test_ext_algebra_sparse_build_matches_dense_constructor():
+    # ext_algebra reads the structure constants of FinAlg.from_sparse_matrices
+    # straight off the reduced system; FinAlg(dim, unit, dense constants)
+    # stores them from dense vectors.  Both must give the same algebra, unit
+    # and radical series on the Ext algebra of every golden input.
+    seen = 0
+    for name, rows in GOLDEN_MATRICES.items():
+        if len(rows) != 3:
+            continue
+        built = build_resolution(Mat(rows))
+        if isinstance(built, InfinitePattern):
+            continue
+        ext = ext_algebra(built)
+        basis = [tuple(Q(int(i == j)) for j in range(ext.dim)) for i in range(ext.dim)]
+        dense = FinAlg(ext.dim, ext.unit, [[ext.multiply(x, y) for y in basis] for x in basis])
+        assert (dense.structure, dense.unit, dense.radical_powers) == \
+            (ext.structure, ext.unit, ext.radical_powers), name
+        seen += 1
+    assert seen == 27
 
 
 def test_representative_resolutions(representative_resolutions):
