@@ -101,16 +101,16 @@ def _complex_columns(spec: DgSpec, rows, degree: int) -> list[dict]:
     the monomial times the linear d[j][l], one shift-table lookup per term.
     """
     ndst, shifts = _shift_table(spec.n, degree)
-    images = spec.images(degree)
     cols = []
     for j, row in enumerate(rows):
-        lower = [(l * ndst, tuple(row[l].terms.items())) for l in range(j) if row[l].terms]
-        for shift, image in zip(shifts, images):
+        lower = [(l * ndst, [(g, c, -c) for g, c in row[l].terms.items()])
+                 for l in range(j) if row[l].terms]
+        for shift, image in zip(shifts, spec.images(degree)):
             col = {j * ndst + r: c for r, c in image.items()}
             for base, terms in lower:
-                for g, c in terms:
+                for g, c, minus_c in terms:
                     sign, t = shift[g]
-                    col[base + t] = c if sign > 0 else -c
+                    col[base + t] = c if sign > 0 else minus_c
             cols.append(col)
     return cols
 
