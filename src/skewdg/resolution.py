@@ -119,7 +119,7 @@ def complex_cohomology_dims(spec: DgSpec, rows, dmax: int) -> list[int]:
     """dim H^i of the semifree complex for 0 <= i <= dmax - 1."""
     # rank(B^T) = rank(B): each column of d_F is one row of its transpose.
     ranks = [0] + [sparse_rank(_complex_columns(spec, rows, d)) for d in range(dmax)]
-    return [len(rows) * len(graded_basis(spec.n, i)) - ranks[i + 1] - ranks[i]
+    return [len(rows) * len(_shift_table(spec.n, i)[1]) - ranks[i + 1] - ranks[i]
             for i in range(dmax)]
 
 
