@@ -299,8 +299,9 @@ def test_complex_columns_match_per_term_reference(monkeypatch):
 def test_ext_algebra_sparse_build_matches_dense_constructor():
     # ext_algebra reads the structure constants of FinAlg.from_sparse_matrices
     # straight off the reduced system; FinAlg(dim, unit, dense constants)
-    # stores them from dense vectors.  Both must give the same algebra, unit
-    # and radical series on the Ext algebra of every golden input.
+    # stores them from dense vectors, here the reference's dense constants
+    # of the dense commutant.  Both must give the same algebra, unit and
+    # radical series on the Ext algebra of every golden input.
     seen = 0
     for name, rows in GOLDEN_MATRICES.items():
         if len(rows) != 3:
@@ -309,8 +310,7 @@ def test_ext_algebra_sparse_build_matches_dense_constructor():
         if isinstance(built, InfinitePattern):
             continue
         ext = ext_algebra(built)
-        basis = [tuple(Q(int(i == j)) for j in range(ext.dim)) for i in range(ext.dim)]
-        dense = FinAlg(ext.dim, ext.unit, [[ext.multiply(x, y) for y in basis] for x in basis])
+        dense = FinAlg(*ref_matrix_algebra(commutant_matrices(built)))
         assert (dense.structure, dense.unit, dense.radical_powers) == \
             (ext.structure, ext.unit, ext.radical_powers), name
         seen += 1
