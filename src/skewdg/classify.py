@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .dg import DgSpec, InternalConsistencyError
+from .dg import InternalConsistencyError
 from .linalg import Mat, Q, kernel_basis, solve_linear, sparse_rref
 from .qpl import QplMatrix, chi
 
@@ -61,10 +61,10 @@ def _classify_rank2(m: Mat, q_shift=None) -> CaseLabel:
     pairing = sum(si * ti * ti for si, ti in zip(s, t))
     if pairing != 0:
         return CaseLabel(2, RANK2_NONDEG, coh_case=2, data={"s": s, "t": t})
-    spec = DgSpec(m)
     mt = m.T
 
     def solve(rhs):
+        """A solution x of M^T x = rhs, or None when rhs is not in B^2."""
         particular, _ = solve_linear(mt, rhs)
         return particular
 
@@ -78,7 +78,8 @@ def _classify_rank2(m: Mat, q_shift=None) -> CaseLabel:
         # multiple of t, and the branch conditions must not notice.
         q = tuple(qi + q_shift * ti for qi, ti in zip(q, t))
     qt = _vec_mul(q, t)
-    if not spec.in_coboundaries(qt):
+    r = solve(qt)
+    if r is None:
         data["q"] = q
         return CaseLabel(2, RANK2_DEGENERATE, subcase="1.1", coh_case=3, data=data)
     # qt is a coboundary: split on whether it is a multiple of t^2.
@@ -91,28 +92,25 @@ def _classify_rank2(m: Mat, q_shift=None) -> CaseLabel:
         if any(x != 0 for x in qt):
             raise InternalConsistencyError("q*t survives the shift by a multiple of t^2")
         data["q"] = q
-        q2 = _vec_sq(q)
-        if not spec.in_coboundaries(q2):
+        u = solve(_vec_sq(q))
+        if u is None:
             return CaseLabel(2, RANK2_DEGENERATE, subcase="1.2.1", coh_case=3, data=data)
-        u = solve(q2)
         data["u"] = u
-        ut = _vec_mul(u, t)
-        if not spec.in_coboundaries(ut):
+        v = solve(_vec_mul(u, t))
+        if v is None:
             return CaseLabel(2, RANK2_DEGENERATE, subcase="1.2.2", coh_case=3, data=data)
-        v = solve(ut)
         data["v"] = v
         c5 = tuple(4 * vi * ti + 2 * qi * ui for vi, ti, qi, ui in zip(v, t, q, u))
-        if not spec.in_coboundaries(c5):
+        if solve(c5) is None:
             return CaseLabel(2, RANK2_DEGENERATE, subcase="1.2.3", coh_case=3, data=data)
-        return _finish_1_2_4(spec, data)
+        return _finish_1_2_4(mt, data)
     # qt and t^2 independent inside B^2.
     data["q"] = q
-    r = solve(qt)
     data["r"] = r
     c3p = tuple(4 * ri * ti + qi * qi for ri, ti, qi in zip(r, t, q))
-    if not spec.in_coboundaries(c3p):
-        return CaseLabel(2, RANK2_DEGENERATE, subcase="1.3.1", coh_case=3, data=data)
     u = solve(c3p)
+    if u is None:
+        return CaseLabel(2, RANK2_DEGENERATE, subcase="1.3.1", coh_case=3, data=data)
     data["u"] = u
     utrq = tuple(ui * ti + 2 * ri * qi for ui, ti, ri, qi in zip(u, t, r, q))
     v = solve(utrq)
@@ -121,17 +119,17 @@ def _classify_rank2(m: Mat, q_shift=None) -> CaseLabel:
     data["v"] = v
     final = tuple(4 * vi * ti + 2 * ui * qi + 4 * ri * ri
                   for vi, ti, ui, qi, ri in zip(v, t, u, q, r))
-    if spec.in_coboundaries(final):
+    if solve(final) is not None:
         raise InternalConsistencyError("expected rank jump fails in subcase 1.3.2")
     return CaseLabel(2, RANK2_DEGENERATE, subcase="1.3.2", coh_case=3, data=data)
 
 
-def _finish_1_2_4(spec: DgSpec, data: dict) -> CaseLabel:
+def _finish_1_2_4(mt: Mat, data: dict) -> CaseLabel:
     """Final subcase: assert the coordinate structure the construction needs.
 
     Exactly one t-component and one q-component survive and they sit at
     different indices; the remaining analysis shows no other configuration
-    reaches this branch, so a violation is an internal error.
+    reaches this branch, so a violation is an internal error.  mt is M^T.
     """
     t, q, u = data["t"], data["q"], data["u"]
     t_support = [i for i, x in enumerate(t) if x != 0]
@@ -151,7 +149,7 @@ def _finish_1_2_4(spec: DgSpec, data: dict) -> CaseLabel:
     v = (Q(0),) * 3
     data["v"] = v
     rhs = tuple(2 * qi * ui for qi, ui in zip(q, u))
-    w, _ = solve_linear(spec.m.T, rhs)
+    w, _ = solve_linear(mt, rhs)
     if w is None:
         raise InternalConsistencyError("eta right-hand side escaped B^2 in subcase 1.2.4")
     w = tuple(wi - (w[gamma] / t[gamma]) * ti for wi, ti in zip(w, t))

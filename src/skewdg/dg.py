@@ -12,28 +12,21 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
-from .linalg import (Mat, column_basis, complement_in, kernel_basis, rank_of_columns,
-                     solve_linear, sparse_rank)
-from .skew import (
-    InternalConsistencyError,
-    SkewElement,
-    coefficient_vector,
-    element_from_vector,
-    graded_basis,
-)
+from .linalg import (Mat, column_basis, column_pivots, kernel_basis, rank_of_columns,
+                     sparse_kernel, sparse_rank, sparse_rows, sparse_transpose)
+from .skew import InternalConsistencyError, SkewElement, coefficient_vector, graded_basis
 
 
 class DgSpec:
     """The DG algebra on O_{-1}(k^n) determined by an n x n matrix."""
 
-    __slots__ = ("n", "m", "_bnd_cache", "_img_cache")
+    __slots__ = ("n", "m", "_img_cache")
 
     def __init__(self, m: Mat):
         if m.rows != m.cols:
             raise ValueError("defining matrix must be square")
         object.__setattr__(self, "n", m.rows)
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "_bnd_cache", {})
         object.__setattr__(self, "_img_cache", {})
 
     def __setattr__(self, name, value):
@@ -99,11 +92,7 @@ class DgSpec:
         yields coefficients in graded_basis(n, d+1) order.  For d = 1 the
         nonzero block is M^T acting on the x_j^2 coordinates.
         """
-        cached = self._bnd_cache.get(d)
-        if cached is None:
-            cached = Mat.from_sparse_columns(self.images(d), len(graded_basis(self.n, d + 1)))
-            self._bnd_cache[d] = cached
-        return cached
+        return Mat.from_sparse_columns(self.images(d), len(graded_basis(self.n, d + 1)))
 
     def coboundary_space(self, d: int) -> list[tuple]:
         """Spanning columns of B^d = im(A^{d-1} -> A^d) in basis coordinates."""
@@ -111,15 +100,6 @@ class DgSpec:
             return []
         b = self.boundary_matrix(d - 1)
         return [b.column(j) for j in range(b.cols)]
-
-    def in_coboundaries(self, vec) -> bool:
-        """Membership of a square-form coefficient vector in B^2.
-
-        B^2 is spanned by the columns of M^T inside the x_j^2 coordinates,
-        which drives every branch condition of the resolution flowchart.
-        """
-        particular, _ = solve_linear(self.m.T, vec)
-        return particular is not None
 
     def cohomology_dims(self, dmax: int) -> list[int]:
         """dim H^d(A) for 0 <= d <= dmax, from the ranks of the boundary
@@ -141,12 +121,16 @@ class DgSpec:
                                 h2_data=(h2_cocycles, h2_cobounds))
 
     def _h2_data(self):
-        z2 = kernel_basis(self.boundary_matrix(2))
-        bound_cols = self.coboundary_space(2)
-        reps = complement_in(bound_cols, z2)
-        h2_cocycles = [element_from_vector(v, self.n, 2) for v in reps]
-        h2_cobounds = [element_from_vector(v, self.n, 2) for v in column_basis(bound_cols)]
-        return h2_cocycles, h2_cobounds
+        """(cocycles, coboundaries): the columns at the pivots of [B^2 | Z^2],
+        B^2 spanned by the images of A^1 and Z^2 the kernel of A^2 -> A^3."""
+        bound = self.images(1)
+        basis2 = graded_basis(self.n, 2)
+        cols = bound + sparse_rows(sparse_kernel(sparse_transpose(self.images(2)).values(),
+                                                 len(basis2)))
+        pivots = column_pivots(cols)
+        picked = [SkewElement(self.n, {basis2[r]: x for r, x in cols[c].items()}) for c in pivots]
+        rank = sum(c < len(bound) for c in pivots)
+        return picked[rank:], picked[:rank]
 
 
 def koszul_dims(n: int, rank: int, dmax: int) -> list[int]:

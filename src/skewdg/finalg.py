@@ -14,7 +14,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .linalg import Mat, Q, frac, in_span, sparse_kernel, sparse_rows, sparse_rref
+from .linalg import (Mat, Q, column_pivots, frac, in_span, sparse_kernel, sparse_rows,
+                     sparse_rref, sparse_transpose)
 from .skew import InternalConsistencyError
 
 
@@ -170,7 +171,7 @@ class FinAlg:
 
         The radical is the kernel of the trace form (char 0).  rad^{i+1} is
         spanned by the products x y with x in rad^i, y in rad; its basis is
-        the products at the pivots of their sparse rows.
+        the products at their column pivots.
         """
         rad = sparse_kernel(self._trace_form(), self.dim)
         rad_terms = [_terms(y) for y in rad]
@@ -179,7 +180,7 @@ class FinAlg:
             products = [self._product(xs, ys)
                         for xs in map(_terms, powers[-1]) for ys in rad_terms]
             powers.append([tuple(products[t].get(k, Q(0)) for k in range(self.dim))
-                           for t in sparse_rref(sparse_transpose(products).values())[1]])
+                           for t in column_pivots(products)])
             if len(powers[-1]) == len(powers[-2]):
                 raise InternalConsistencyError("the trace-form radical is not nilpotent")
         return tuple(tuple(p) for p in powers)
@@ -224,17 +225,6 @@ def _matmul(a: list[dict], b: list[dict]) -> list[dict]:
                 acc[j] = acc.get(j, 0) + x * y
         out.append({j: x for j, x in acc.items() if x})
     return out
-
-
-def sparse_transpose(cols: Sequence[dict]) -> dict:
-    """{row: {column: entry}} of the matrix with the sparse columns cols,
-    each {row: entry}, without its zero entries."""
-    rows = {}
-    for c, col in enumerate(cols):
-        for r, x in col.items():
-            if x:
-                rows.setdefault(r, {})[c] = x
-    return rows
 
 
 def _terms(v: Sequence) -> list:

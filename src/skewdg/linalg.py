@@ -145,18 +145,6 @@ class Mat:
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.data for x in row)
 
-    def det(self) -> Fraction:
-        if self.rows != self.cols:
-            raise ValueError("determinant of non-square matrix")
-        echelon, pivots, (num, den) = _echelon(_int_rows(self.data))
-        if len(pivots) < self.rows:
-            return Q(0)
-        for row, p in zip(echelon, pivots):
-            num *= row[p]
-        for row in self.data:
-            den *= lcm(*(x.denominator for x in row))
-        return Q(num, den)
-
     def inverse(self) -> "Mat":
         if self.rows != self.cols:
             raise ValueError("inverse of non-square matrix")
@@ -168,14 +156,14 @@ class Mat:
         return Mat([row[n:] for row in red.data])
 
     def rank(self) -> int:
-        return len(_echelon(_int_rows(self.data))[1])
+        return sparse_rank(sparse_rows(self.data))
 
 
 # ---------------------------------------------------------------------------
 # The elimination core.  Rows are sparse integer rows {column: nonzero int}:
 # rational rows are cleared of denominators, then reduced by fraction-free
-# integer elimination; rank, rref (and through it kernels, solutions and
-# inverses) and det all read off the same echelon.
+# integer elimination; rank, column pivots and rref (and through it kernels,
+# solutions and inverses) all read off the same echelon.
 # ---------------------------------------------------------------------------
 
 
@@ -190,17 +178,9 @@ def sparse_rows(data) -> list[dict]:
     return [{j: x for j, x in enumerate(row) if x} for row in data]
 
 
-def _int_rows(data) -> list[dict[int, int]]:
-    """Dense rational rows as sparse integer rows with the same row space:
-    zeros are skipped and each row is scaled by the lcm of the denominators
-    of its nonzero entries."""
-    return [_integral(row) for row in sparse_rows(data)]
-
-
-def _combine(row: dict, x: int, prow: dict, pval: int) -> tuple[dict, int]:
-    """(pval*row - x*prow) divided by its content g, and g (0 for a zero
-    result).  x and pval are the entries of row and prow in a shared column,
-    which therefore cancels."""
+def _combine(row: dict, x: int, prow: dict, pval: int) -> dict:
+    """(pval*row - x*prow) divided by its content.  x and pval are the
+    entries of row and prow in a shared column, which therefore cancels."""
     new = {j: pval * a for j, a in row.items()}
     for j, b in prow.items():
         t = new.get(j, 0) - x * b
@@ -211,15 +191,14 @@ def _combine(row: dict, x: int, prow: dict, pval: int) -> tuple[dict, int]:
     g = gcd(*new.values())
     if g > 1:
         new = {j: t // g for j, t in new.items()}
-    return new, g
+    return new
 
 
 def _echelon(rows: list[dict[int, int]]):
     """Row echelon form of sparse integer rows by fraction-free elimination.
 
-    Returns (echelon, pivots, (num, den)): the nonzero echelon rows, their
-    pivot columns in increasing order, and a factor such that a square input
-    of full rank has determinant num/den times the product of the pivots.
+    Returns (echelon, pivots): the nonzero echelon rows and their pivot
+    columns in increasing order.
 
     Each step takes the least column any remaining row starts in, and a pivot
     of least magnitude there.  Rows that do not start in the pivot column are
@@ -229,7 +208,6 @@ def _echelon(rows: list[dict[int, int]]):
     work = [row for row in rows if row]
     leads = [min(row) for row in work]
     pivots = []
-    num = den = 1
     rank = 0
     while rank < len(work):
         col = min(leads[rank:])
@@ -244,20 +222,17 @@ def _echelon(rows: list[dict[int, int]]):
         if piv != rank:
             work[rank], work[piv] = work[piv], work[rank]
             leads[rank], leads[piv] = leads[piv], leads[rank]
-            num = -num
         prow = work[rank]
         pval = prow[col]
         zeroed = False
         for i in range(rank + 1, len(work)):
             if leads[i] != col:
                 continue
-            new, g = _combine(work[i], work[i][col], prow, pval)
-            if g:
-                num *= g
+            new = _combine(work[i], work[i][col], prow, pval)
+            if new:
                 leads[i] = min(new)
             else:
                 zeroed = True
-            den *= pval
             work[i] = new
         if zeroed:  # only an updated row can have become zero
             keep = [i for i, row in enumerate(work) if row]
@@ -265,12 +240,30 @@ def _echelon(rows: list[dict[int, int]]):
             leads = [leads[i] for i in keep]
         pivots.append(col)
         rank += 1
-    return work, pivots, (num, den)
+    return work, pivots
 
 
 def sparse_rank(rows: Iterable[dict]) -> int:
     """Rank of sparse rational rows {column: nonzero coefficient}."""
     return len(_echelon([_integral(row) for row in rows])[1])
+
+
+def sparse_transpose(cols: Sequence[dict]) -> dict:
+    """{row: {column: entry}} of the matrix with the sparse columns cols,
+    each {row: entry}, without its zero entries."""
+    rows = {}
+    for c, col in enumerate(cols):
+        for r, x in col.items():
+            if x:
+                rows.setdefault(r, {})[c] = x
+    return rows
+
+
+def column_pivots(cols: Sequence[dict]) -> list[int]:
+    """The indices, in increasing order, of the sparse rational columns
+    {row: coefficient} that lie outside the span of the columns before
+    them: the pivot columns of their echelon form."""
+    return _echelon([_integral(row) for row in sparse_transpose(cols).values()])[1]
 
 
 def sparse_rref(rows: Iterable[dict]) -> tuple[list[dict], list[int]]:
@@ -281,13 +274,13 @@ def sparse_rref(rows: Iterable[dict]) -> tuple[list[dict], list[int]]:
     Sparse integer back-substitution on the echelon clears each pivot column
     above its pivot; one division per nonzero entry then makes the pivots 1.
     """
-    red, pivots, _ = _echelon([_integral(row) for row in rows])
+    red, pivots = _echelon([_integral(row) for row in rows])
     for k in range(len(pivots) - 1, 0, -1):
         prow, p = red[k], pivots[k]
         for i in range(k):
             x = red[i].get(p)
             if x:
-                red[i] = _combine(red[i], x, prow, prow[p])[0]
+                red[i] = _combine(red[i], x, prow, prow[p])
     return [{j: Q(x, row[p]) for j, x in row.items()} for row, p in zip(red, pivots)], pivots
 
 
@@ -397,26 +390,13 @@ def in_span(vectors: Sequence[Sequence], v: Sequence) -> bool:
     return particular is not None
 
 
-def _column_pivots(columns: Sequence[Sequence]) -> list[int]:
-    if not columns:
-        return []
-    return _echelon(_int_rows(Mat.from_columns(columns).data))[1]
-
-
 def rank_of_columns(columns: Sequence[Sequence]) -> int:
-    return len(_column_pivots(columns))
+    return len(column_pivots(sparse_rows(columns)))
 
 
 def column_basis(columns: Sequence[Sequence]) -> list:
     """The pivot columns: a basis of the span, taken from the given columns."""
-    return [columns[j] for j in _column_pivots(columns)]
-
-
-def complement_in(span_cols: Sequence[Sequence], candidates: Sequence[Sequence]) -> list:
-    """The candidates at the pivots of [span_cols | candidates]: their classes
-    complete the span of span_cols to the span of both."""
-    cols = list(span_cols) + list(candidates)
-    return [cols[j] for j in _column_pivots(cols) if j >= len(span_cols)]
+    return [columns[j] for j in column_pivots(sparse_rows(columns))]
 
 
 # ---------------------------------------------------------------------------

@@ -95,8 +95,7 @@ def analyze(m: Mat, dmax: int = 6, verify_depth: int = 4, truncate: int = 8) -> 
         smooth = verdict.homologically_smooth
 
     if pres is not None:
-        cap = min(dmax, 10)
-        pdims = presented_dims(pres, cap)
+        pdims = presented_dims(pres, dmax)
         payload["presentation"] = pres.as_dict()
         payload["presented_dims"] = pdims
         if not smooth:
@@ -104,7 +103,7 @@ def analyze(m: Mat, dmax: int = 6, verify_depth: int = 4, truncate: int = 8) -> 
             # are incomplete (extra relations appear from degree 3 on), so
             # the two dimension engines are not expected to agree there.
             payload["presentation_check"] = "skipped-degenerate-family"
-        elif pdims != brute[: cap + 1]:
+        elif pdims != brute:
             problems.append("presented dimensions disagree with brute force")
         else:
             payload["presentation_check"] = "match"

@@ -14,8 +14,9 @@ from typing import Optional
 
 from .classify import CaseLabel, classify, quadric_coefficients, theorem_c
 from .dg import DgSpec, InternalConsistencyError
-from .finalg import AlgebraError, FinAlg, sparse_transpose
-from .linalg import Mat, frac, sparse_kernel, sparse_rank, sparse_rref
+from .finalg import AlgebraError, FinAlg
+from .linalg import (Mat, column_pivots, frac, sparse_kernel, sparse_rank, sparse_rows,
+                     sparse_transpose)
 from .skew import SkewElement, graded_basis, mono_mul, parse_element
 
 
@@ -213,8 +214,8 @@ def _h1_representatives(spec: DgSpec, rows):
     # The cocycles at the pivots of [coboundaries | cocycles]; column j < m is d(e_j).
     cols = [{l * n + index[mono]: c for l in range(j) for mono, c in row[l].terms.items()}
             for j, row in enumerate(rows)]
-    cols += [{r: x for r, x in enumerate(vec) if x} for vec in cocycles]
-    reps = [cocycles[c - m] for c in sparse_rref(sparse_transpose(cols).values())[1] if c >= m]
+    cols += sparse_rows(cocycles)
+    reps = [cocycles[c - m] for c in column_pivots(cols) if c >= m]
     return [[SkewElement(n, {mono: vec[j * n + i] for mono, i in index.items()})
              for j in range(m)] for vec in reps]
 

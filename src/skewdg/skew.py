@@ -215,12 +215,6 @@ def coefficient_vector(elt: SkewElement, d: int, basis=None) -> tuple:
     return tuple(elt.terms.get(m, Q(0)) for m in basis)
 
 
-def element_from_vector(coeffs: Sequence, n: int, d: int, basis=None) -> SkewElement:
-    if basis is None:
-        basis = graded_basis(n, d)
-    return SkewElement(n, {m: c for m, c in zip(basis, coeffs)})
-
-
 # -- textual rendering and parsing -------------------------------------------
 #
 # Grammar: terms joined by +/-, each term [coeff *] factor*, a factor is

@@ -93,6 +93,8 @@ def invocations():
             yield name + "." + cmd, [cmd, "inputs/%s.json" % name]
     for a, b in ISO_PAIRS:
         yield "iso.%s.%s" % (a, b), ["iso", "inputs/%s.json" % a, "inputs/%s.json" % b]
+    # Presented dimensions checked against the brute force past degree 10.
+    yield "M1.report.max_degree_12", ["report", "inputs/M1.json", "--max-degree", "12"]
 
 
 def run(argv, root=HERE):

@@ -24,7 +24,7 @@ from fractions import Fraction as Q
 
 from skewdg.classify import RANK1, RANK2_DEGENERATE, classify, quadric_coefficients
 from skewdg.dg import DgSpec
-from skewdg.linalg import Mat, complement_in, kernel_basis, solve_linear
+from skewdg.linalg import Mat, column_basis, kernel_basis, rank_of_columns, solve_linear
 from skewdg.qpl import QplMatrix, chi
 from skewdg.resolution import SemifreeResolution
 from skewdg.skew import SkewElement, coefficient_vector, graded_basis, mono_mul
@@ -124,8 +124,9 @@ def ref_h1_representatives(spec, rows):
             for i, mono in enumerate(basis1):
                 col[l * n + i] = rows[j][l].terms.get(mono, Q(0))
         bound.append(tuple(col))
+    reps = column_basis(bound + cocycles)[rank_of_columns(bound):]
     return [[SkewElement(n, {mono: vec[j * n + i] for i, mono in enumerate(basis1)})
-             for j in range(m)] for vec in complement_in(bound, cocycles)]
+             for j in range(m)] for vec in reps]
 
 
 def ref_square_zero_failures(spec, rows):

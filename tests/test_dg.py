@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from reference_linalg import ref_rank
 
 from skewdg.dg import DgSpec, InternalConsistencyError, cup_kernel, cy_probe, koszul_dims
-from skewdg.linalg import Mat
+from skewdg.linalg import Mat, column_basis, kernel_basis, rank_of_columns
 from skewdg.skew import SkewElement, graded_basis
 
 
@@ -107,6 +107,38 @@ def test_h1_dimension_is_corank():
         rep = DgSpec(m).cohomology(2)
         assert rep.dims[0] == 1
         assert rep.dims[1] == n - m.rank()
+
+
+def dense_h2_data(spec):
+    """(cocycles, coboundaries) by dense linear algebra: Z^2 from kernel_basis
+    on the boundary matrix, B^2 from its spanning columns, the cocycles at
+    the pivots of [B^2 | Z^2] past those of B^2."""
+    z2 = kernel_basis(spec.boundary_matrix(2))
+    bound = spec.coboundary_space(2)
+    basis2 = graded_basis(spec.n, 2)
+
+    def element(vec):
+        return SkewElement(spec.n, dict(zip(basis2, vec)))
+
+    return ([element(v) for v in column_basis(bound + z2)[rank_of_columns(bound):]],
+            [element(v) for v in column_basis(bound)])
+
+
+def test_h2_data_matches_dense_reference():
+    # M = L R for random rational n x r and r x n factors, kept when of rank r.
+    rng = random.Random(23)
+    entries = [0, 0, 1, -1, 2, Q(1, 2), Q(-2, 3)]
+    for n in range(2, 6):
+        for r in range(n + 1):
+            for _ in range(2):
+                while True:
+                    left = Mat([[rng.choice(entries) for _ in range(r)] for _ in range(n)])
+                    right = Mat([[rng.choice(entries) for _ in range(n)] for _ in range(r)])
+                    m = left * right if r else Mat.zero(n, n)
+                    if m.rank() == r:
+                        break
+                spec = DgSpec(m)
+                assert spec._h2_data() == dense_h2_data(spec), m
 
 
 def test_internal_dimension_consistency():
