@@ -19,7 +19,7 @@ from fractions import Fraction
 from .classify import classify, theorem_c
 from .dg import DgSpec, InternalConsistencyError, cy_probe, koszul_dims
 from .finalg import FinAlg, AlgebraError, frobenius, radical_filtration, recognize_truncated, socle_dim
-from .linalg import Mat
+from .linalg import Mat, sparse_matmul
 from .qpl import UnsupportedSize, aut_group, iso_solve
 from .report import analyze
 from .resolution import (
@@ -103,16 +103,10 @@ def cmd_validate(args) -> int:
     spec = DgSpec(m)
     n = spec.n
     max_deg = nonnegative(args.max_degree, "--max-degree")
-    # d^2 = 0 on A^d: each monomial's image, mapped by d again, vanishes.
-    square_zero = True
-    for d in range(max_deg + 1):
-        outer = spec.images(d + 1)
-        for image in spec.images(d):
-            acc = {}
-            for r, c in image.items():
-                for t, x in outer[r].items():
-                    acc[t] = acc.get(t, 0) + c * x
-            square_zero = square_zero and not any(acc.values())
+    # d^2 = 0 on A^d: each monomial's image, mapped by d again, vanishes.  The
+    # images are the rows of the transposed maps, so their product is (d d)^T.
+    square_zero = not any(any(sparse_matmul(spec.images(d), spec.images(d + 1)))
+                          for d in range(max_deg + 1))
     # d(ab) = d(a) b + (-1)^|a| a d(b) on the monomials of degrees 1 and 2.
     low = [(d, SkewElement(n, {mono: 1})) for d in (1, 2) for mono in graded_basis(n, d)]
     leibniz = all(spec.differential(a * b)
@@ -225,10 +219,10 @@ def cmd_frobenius(args) -> int:
 
 def cmd_report(args) -> int:
     m = load_matrix(args.input)
-    result = analyze(m, dmax=nonnegative(args.max_degree, "--max-degree"),
-                     truncate=positive(args.truncate, "--truncate"))
-    emit({"check": "report", **result.as_dict()}, args.pretty)
-    return EXIT_OK if result.consistent else EXIT_INCONSISTENT
+    payload = analyze(m, dmax=nonnegative(args.max_degree, "--max-degree"),
+                      truncate=positive(args.truncate, "--truncate"))
+    emit({"check": "report", **payload}, args.pretty)
+    return EXIT_OK if payload["consistent"] else EXIT_INCONSISTENT
 
 
 def build_parser() -> argparse.ArgumentParser:

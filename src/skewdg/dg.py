@@ -1,6 +1,7 @@
 """DG structures on O_{-1}(k^n): the differential attached to a square
-matrix M, boundary matrices in the monomial bases, cohomology, and the
-cohomological Calabi-Yau probe for n = 3.
+matrix M, boundary matrices in the monomial bases, the semifree complexes
+F = A (x) k^m with their cohomology (A itself is F on one generator), and
+the cohomological Calabi-Yau probe for n = 3.
 
 The differential is determined by d(x_i) = sum_j M[i][j] x_j^2 and the
 graded Leibniz rule; d^2 = 0 holds for every M.
@@ -14,7 +15,7 @@ from typing import Optional
 
 from .linalg import (Mat, column_basis, column_pivots, kernel_basis, rank_of_columns,
                      sparse_kernel, sparse_rank, sparse_rows, sparse_transpose)
-from .skew import InternalConsistencyError, SkewElement, coefficient_vector, graded_basis
+from .skew import InternalConsistencyError, SkewElement, coefficient_vector, graded_basis, mono_mul
 
 
 class DgSpec:
@@ -102,35 +103,101 @@ class DgSpec:
         return [b.column(j) for j in range(b.cols)]
 
     def cohomology_dims(self, dmax: int) -> list[int]:
-        """dim H^d(A) for 0 <= d <= dmax, from the ranks of the boundary
-        maps alone."""
+        """dim H^d(A) for 0 <= d <= dmax: A is the complex F on the one
+        generator e_0, with no grid entries."""
         if dmax < 0:
             raise ValueError("dmax must be non-negative")
-        # rank(B^T) = rank(B): each image is one row of the transpose.
-        ranks = [sparse_rank(self.images(d)) for d in range(dmax + 1)]
-        return [len(graded_basis(self.n, d)) - ranks[d] - (ranks[d - 1] if d else 0)
-                for d in range(dmax + 1)]
+        return complex_cohomology_dims(self, [[]], dmax + 1)
 
     def cohomology(self, dmax: int) -> "CohomologyReport":
         """Dimensions and low-degree representatives of H(A) up to dmax."""
         if dmax < 2:
             raise ValueError("dmax must be at least 2")
-        h1 = [SkewElement.linear(v, self.n) for v in kernel_basis(self.m.T)]
-        h2_cocycles, h2_cobounds = self._h2_data()
-        return CohomologyReport(dims=self.cohomology_dims(dmax), h1_basis=h1,
-                                h2_data=(h2_cocycles, h2_cobounds))
+        # A is F on e_0 alone, so every element of F is a one-entry list.
+        h1 = complex_classes(self, [[]], 1)[0]
+        h2 = complex_classes(self, [[]], 2)
+        return CohomologyReport(dims=self.cohomology_dims(dmax), h1_basis=[v[0] for v in h1],
+                                h2_data=tuple([v[0] for v in part] for part in h2))
 
-    def _h2_data(self):
-        """(cocycles, coboundaries): the columns at the pivots of [B^2 | Z^2],
-        B^2 spanned by the images of A^1 and Z^2 the kernel of A^2 -> A^3."""
-        bound = self.images(1)
-        basis2 = graded_basis(self.n, 2)
-        cols = bound + sparse_rows(sparse_kernel(sparse_transpose(self.images(2)).values(),
-                                                 len(basis2)))
-        pivots = column_pivots(cols)
-        picked = [SkewElement(self.n, {basis2[r]: x for r, x in cols[c].items()}) for c in pivots]
-        rank = sum(c < len(bound) for c in pivots)
-        return picked[rank:], picked[:rank]
+
+# -- the complex F = A (x) k^m and its cohomology -------------------------------
+#
+# A grid `rows` of linear entries, row j carrying d[j][l] for l < j, defines
+# d(e_j) = sum_l d[j][l] e_l on the free module F = A e_0 + ... + A e_{m-1};
+# A itself is F on rows = [[]].  Element sum_l a_l e_l of F^d has the sparse
+# coordinates {l*|A^d| + (index of the monomial in graded_basis(n, d)): c}.
+
+
+_SHIFTS = {}  # (n, degree) -> _shift_table; depends on nothing else, so kept once built
+
+
+def _shift_table(n: int, degree: int):
+    """(dim A^{degree+1}, table), table[s][g] = (sign, t) for (-1)^degree (monomial
+    s) g = sign (monomial t): g of degree 1, s and t indices into graded_basis."""
+    if (n, degree) not in _SHIFTS:
+        index = {mono: i for i, mono in enumerate(graded_basis(n, degree + 1))}
+        products = [{g: mono_mul(mono, g) for g in graded_basis(n, 1)}
+                    for mono in graded_basis(n, degree)]
+        _SHIFTS[n, degree] = (len(index), [{g: (sign * (-1) ** degree, index[prod])
+                                            for g, (sign, prod) in row.items()}
+                                           for row in products])
+    return _SHIFTS[n, degree]
+
+
+def _complex_columns(spec: DgSpec, rows, degree: int) -> list[dict]:
+    """d_F : F^degree -> F^{degree+1} as sparse columns.
+
+    Column j*|src| + s is the image of (monomial s) e_j: its e_j block is the
+    image of the monomial under d_A, and its e_l block for l < j is
+    (-1)^degree times the monomial times the linear d[j][l], one shift-table
+    lookup per term.
+    """
+    ndst, shifts = _shift_table(spec.n, degree)
+    cols = []
+    for j, row in enumerate(rows):
+        # Every sign is +1 in degree 0 (s = 1), so no negative is formed there.
+        lower = [(l * ndst, [(g, c, -c if degree else c) for g, c in row[l].terms.items()])
+                 for l in range(j) if row[l].terms]
+        for shift, image in zip(shifts, spec.images(degree)):
+            col = {j * ndst + r: c for r, c in image.items()}
+            for base, terms in lower:
+                for g, c, minus_c in terms:
+                    sign, t = shift[g]
+                    col[base + t] = c if sign > 0 else minus_c
+            cols.append(col)
+    return cols
+
+
+def complex_cohomology_dims(spec: DgSpec, rows, dmax: int) -> list[int]:
+    """dim H^i of the complex F for 0 <= i <= dmax - 1."""
+    # rank(B^T) = rank(B): each column of d_F is one row of its transpose.
+    ranks = [0] + [sparse_rank(_complex_columns(spec, rows, d)) for d in range(dmax)]
+    return [len(rows) * len(_shift_table(spec.n, i)[1]) - ranks[i + 1] - ranks[i]
+            for i in range(dmax)]
+
+
+def complex_classes(spec: DgSpec, rows, degree: int) -> tuple[list, list]:
+    """(cocycles, coboundaries) in F^degree: the columns at the pivots of
+    [images of F^{degree-1} | kernel of d_F on F^degree].  The cocycles
+    represent a basis of H^degree(F), and the coboundaries are a basis of
+    B^degree.  Each is a list of m SkewElements, its coefficients on e_l."""
+    basis = graded_basis(spec.n, degree)
+    bound = _complex_columns(spec, rows, degree - 1) if degree else []
+    cocycles = sparse_kernel(sparse_transpose(_complex_columns(spec, rows, degree)).values(),
+                             len(rows) * len(basis))
+    cols = bound + sparse_rows(cocycles)
+    pivots = column_pivots(cols)
+    zero = SkewElement.zero(spec.n)
+    picked = []
+    for c in pivots:
+        parts = {}
+        for k, x in cols[c].items():
+            l, s = divmod(k, len(basis))
+            parts.setdefault(l, {})[basis[s]] = x
+        picked.append([SkewElement(spec.n, parts[l]) if l in parts else zero
+                       for l in range(len(rows))])
+    rank = sum(c < len(bound) for c in pivots)
+    return picked[rank:], picked[:rank]
 
 
 def koszul_dims(n: int, rank: int, dmax: int) -> list[int]:

@@ -14,8 +14,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .linalg import (Mat, Q, column_pivots, frac, in_span, sparse_kernel, sparse_rows,
-                     sparse_rref, sparse_transpose)
+from .linalg import (Mat, Q, column_pivots, frac, in_span, sparse_kernel, sparse_matmul,
+                     sparse_rows, sparse_rref, sparse_transpose)
 from .skew import InternalConsistencyError
 
 
@@ -88,7 +88,7 @@ class FinAlg:
         if dim == 0:
             raise AlgebraError("empty matrix algebra")
         cols = list(mats) + [[{i: Q(1)} for i in range(size)]]
-        cols += [_matmul(a, b) for a in mats for b in mats]
+        cols += [sparse_matmul(a, b) for a in mats for b in mats]
         cells = [{i * size + j: x for i, row in enumerate(mat) for j, x in row.items()}
                  for mat in cols]
         red, pivots = sparse_rref(sparse_transpose(cells).values())
@@ -213,18 +213,6 @@ class FinAlg:
                 rows += sparse_transpose([self._product([(j, 1)], r) for j in range(m)]).values()
             object.__setattr__(self, "_socle", tuple(sparse_kernel(rows, m)))
         return list(self._socle)
-
-
-def _matmul(a: list[dict], b: list[dict]) -> list[dict]:
-    """The product of two square matrices given as sparse rows."""
-    out = []
-    for arow in a:
-        acc = {}
-        for k, x in arow.items():
-            for j, y in b[k].items():
-                acc[j] = acc.get(j, 0) + x * y
-        out.append({j: x for j, x in acc.items() if x})
-    return out
 
 
 def _terms(v: Sequence) -> list:

@@ -259,6 +259,19 @@ def sparse_transpose(cols: Sequence[dict]) -> dict:
     return rows
 
 
+def sparse_matmul(a: Sequence[dict], b: Sequence[dict]) -> list[dict]:
+    """The product of two matrices given as sparse rows {column: entry}:
+    row i of a times b, without its zero entries."""
+    out = []
+    for arow in a:
+        acc = {}
+        for k, x in arow.items():
+            for j, y in b[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        out.append({j: x for j, x in acc.items() if x})
+    return out
+
+
 def column_pivots(cols: Sequence[dict]) -> list[int]:
     """The indices, in increasing order, of the sparse rational columns
     {row: coefficient} that lie outside the span of the columns before

@@ -9,7 +9,6 @@ disagreement instead of averaging it away.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .classify import (
@@ -48,16 +47,13 @@ def n2_presentation(m: Mat) -> Optional[GradedPresentation]:
     return None
 
 
-@dataclass
-class Report:
-    payload: dict
-    consistent: bool
-
-    def as_dict(self):
-        return self.payload
+# The built resolution is checked exact below degree 4.  Exactness through
+# degree n + 1 would prove H(F) = k in every degree; ROADMAP item 2 derives
+# the depth n + 2 together with that certificate.
+VERIFY_DEPTH = 4
 
 
-def analyze(m: Mat, dmax: int = 6, verify_depth: int = 4, truncate: int = 8) -> Report:
+def analyze(m: Mat, dmax: int = 6, truncate: int = 8) -> dict:
     """Aggregate all analyses of a defining matrix with cross-checks."""
     n = m.rows
     if n not in (2, 3):
@@ -117,7 +113,7 @@ def analyze(m: Mat, dmax: int = 6, verify_depth: int = 4, truncate: int = 8) -> 
             resolution_info["available"] = True
             cy_votes.append(False)
         else:
-            check = verify_resolution(built.spec, built, dmax=verify_depth)
+            check = verify_resolution(built.spec, built, dmax=VERIFY_DEPTH)
             ext = ext_algebra(built)
             frob = frobenius(ext)
             resolution_info = {
@@ -142,4 +138,4 @@ def analyze(m: Mat, dmax: int = 6, verify_depth: int = 4, truncate: int = 8) -> 
     payload["cy_routes"] = cy_votes
     payload["problems"] = problems
     payload["consistent"] = not problems
-    return Report(payload, not problems)
+    return payload

@@ -3,21 +3,20 @@
 A resolution is a free basis e_0..e_{m-1} in degree 0 together with a
 strictly lower triangular matrix of degree-1 entries: d(e_j) = sum d[j][l] e_l.
 The verifier checks minimality, the square-zero identity, and truncated
-exactness of the associated complex; the Ext-algebra is the scalar
-commutant of the differential matrix.
+exactness of the associated complex F = A (x) k^m, whose maps and cohomology
+live in dg; the Ext-algebra is the scalar commutant of the differential
+matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .classify import CaseLabel, classify, quadric_coefficients, theorem_c
-from .dg import DgSpec, InternalConsistencyError
+from .dg import DgSpec, InternalConsistencyError, complex_classes, complex_cohomology_dims
 from .finalg import AlgebraError, FinAlg
-from .linalg import (Mat, column_pivots, frac, sparse_kernel, sparse_rank, sparse_rows,
-                     sparse_transpose)
-from .skew import SkewElement, graded_basis, mono_mul, parse_element
+from .linalg import Mat, frac, sparse_kernel
+from .skew import SkewElement, mono_mul, parse_element
 
 
 class UnsupportedCase(ValueError):
@@ -62,66 +61,14 @@ def resolution_from_dict(data: dict) -> SemifreeResolution:
 @dataclass
 class InfinitePattern:
     relation_coeffs: tuple  # (t1, t2, t3) with t1 t2 = t3^2
-    truncation: Optional[SemifreeResolution]
+    truncation: SemifreeResolution
 
     def as_dict(self):
-        out = {
+        return {
             "homologically_smooth": False,
             "relation": [str(t) for t in self.relation_coeffs],
+            "truncation": self.truncation.as_dict(),
         }
-        if self.truncation is not None:
-            out["truncation"] = self.truncation.as_dict()
-        return out
-
-
-# -- the complex F = A (x) k^m and its cohomology -------------------------------
-
-
-_SHIFTS = {}  # (n, degree) -> _shift_table; depends on nothing else, so kept once built
-
-
-def _shift_table(n: int, degree: int):
-    """(dim A^{degree+1}, table), table[s][g] = (sign, t) for (-1)^degree (monomial
-    s) g = sign (monomial t): g of degree 1, s and t indices into graded_basis."""
-    if (n, degree) not in _SHIFTS:
-        index = {mono: i for i, mono in enumerate(graded_basis(n, degree + 1))}
-        products = [{g: mono_mul(mono, g) for g in graded_basis(n, 1)}
-                    for mono in graded_basis(n, degree)]
-        _SHIFTS[n, degree] = (len(index), [{g: (sign * (-1) ** degree, index[prod])
-                                            for g, (sign, prod) in row.items()}
-                                           for row in products])
-    return _SHIFTS[n, degree]
-
-
-def _complex_columns(spec: DgSpec, rows, degree: int) -> list[dict]:
-    """d_F : F^degree -> F^{degree+1} as sparse columns.
-
-    Column j*|src| + s is the image of (monomial s) e_j, keyed by target
-    index l*|dst| + (monomial index): its e_j block is the image of the
-    monomial under d_A, and its e_l block for l < j is (-1)^degree times
-    the monomial times the linear d[j][l], one shift-table lookup per term.
-    """
-    ndst, shifts = _shift_table(spec.n, degree)
-    cols = []
-    for j, row in enumerate(rows):
-        lower = [(l * ndst, [(g, c, -c) for g, c in row[l].terms.items()])
-                 for l in range(j) if row[l].terms]
-        for shift, image in zip(shifts, spec.images(degree)):
-            col = {j * ndst + r: c for r, c in image.items()}
-            for base, terms in lower:
-                for g, c, minus_c in terms:
-                    sign, t = shift[g]
-                    col[base + t] = c if sign > 0 else minus_c
-            cols.append(col)
-    return cols
-
-
-def complex_cohomology_dims(spec: DgSpec, rows, dmax: int) -> list[int]:
-    """dim H^i of the semifree complex for 0 <= i <= dmax - 1."""
-    # rank(B^T) = rank(B): each column of d_F is one row of its transpose.
-    ranks = [0] + [sparse_rank(_complex_columns(spec, rows, d)) for d in range(dmax)]
-    return [len(rows) * len(_shift_table(spec.n, i)[1]) - ranks[i + 1] - ranks[i]
-            for i in range(dmax)]
 
 
 @dataclass
@@ -204,22 +151,6 @@ def verify_resolution(spec: DgSpec, res: SemifreeResolution, dmax: int = 5) -> V
 # -- generic construction by killing degree-1 cocycle classes -------------------
 
 
-def _h1_representatives(spec: DgSpec, rows):
-    """Cocycle representatives of H^1(F), as lists of degree-1 coefficients."""
-    n = spec.n
-    m = len(rows)
-    index = {mono: i for i, mono in enumerate(graded_basis(n, 1))}
-    # The cocycles are the kernel of d_F on F^1, taken on its sparse rows.
-    cocycles = sparse_kernel(sparse_transpose(_complex_columns(spec, rows, 1)).values(), m * n)
-    # The cocycles at the pivots of [coboundaries | cocycles]; column j < m is d(e_j).
-    cols = [{l * n + index[mono]: c for l in range(j) for mono, c in row[l].terms.items()}
-            for j, row in enumerate(rows)]
-    cols += sparse_rows(cocycles)
-    reps = [cocycles[c - m] for c in column_pivots(cols) if c >= m]
-    return [[SkewElement(n, {mono: vec[j * n + i] for mono, i in index.items()})
-             for j in range(m)] for vec in reps]
-
-
 def _square_grid(spec: DgSpec, rows) -> list:
     m = len(rows)
     zero = SkewElement.zero(spec.n)
@@ -238,7 +169,7 @@ def eilenberg_moore(spec: DgSpec, max_size: int = 64):
     rows = [[]]  # row j carries entries for columns 0..j-1
     while True:
         m = len(rows)
-        reps = _h1_representatives(spec, rows)
+        reps = complex_classes(spec, rows, 1)[0]
         if not reps:
             break
         if m + len(reps) > max_size:

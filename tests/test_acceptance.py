@@ -378,12 +378,12 @@ def _matches_type_pattern(m):
 def test_criterion_10_quasi_isomorphism_counterexample():
     first = analyze(Mat([[1, 0, 1], [0, 1, 0], [1, 0, 1]]), dmax=6)
     second = analyze(Mat([[0, 0, 1], [0, 1, 0], [0, 0, 0]]), dmax=6)
-    dims1 = first.payload["cohomology_dims"]
-    dims2 = second.payload["cohomology_dims"]
-    ext1 = first.payload["resolution"]["ext"]["dim"]
-    ext2 = second.payload["resolution"]["ext"]["dim"]
-    assert first.payload["classification"]["subcase"] == "1.1"
-    assert second.payload["classification"]["subcase"] == "1.2.1"
+    dims1 = first["cohomology_dims"]
+    dims2 = second["cohomology_dims"]
+    ext1 = first["resolution"]["ext"]["dim"]
+    ext2 = second["resolution"]["ext"]["dim"]
+    assert first["classification"]["subcase"] == "1.1"
+    assert second["classification"]["subcase"] == "1.2.1"
     ok = dims1 == dims2 and ext1 == 3 and ext2 == 4
     announce(10, ok,
              "equal cohomology dims %s but Ext dims %d != %d: the structures "

@@ -124,21 +124,35 @@ def dense_h2_data(spec):
             [element(v) for v in column_basis(bound)])
 
 
-def test_h2_data_matches_dense_reference():
-    # M = L R for random rational n x r and r x n factors, kept when of rank r.
-    rng = random.Random(23)
+def rank_r_matrices(rng, ns, per_rank=2):
+    """M = L R for random rational n x r and r x n factors, kept when of
+    rank r: per_rank matrices of each rank r <= n for each n in ns."""
     entries = [0, 0, 1, -1, 2, Q(1, 2), Q(-2, 3)]
-    for n in range(2, 6):
+    for n in ns:
         for r in range(n + 1):
-            for _ in range(2):
+            for _ in range(per_rank):
                 while True:
                     left = Mat([[rng.choice(entries) for _ in range(r)] for _ in range(n)])
                     right = Mat([[rng.choice(entries) for _ in range(n)] for _ in range(r)])
                     m = left * right if r else Mat.zero(n, n)
                     if m.rank() == r:
                         break
-                spec = DgSpec(m)
-                assert spec._h2_data() == dense_h2_data(spec), m
+                yield m
+
+
+def test_h2_data_matches_dense_reference():
+    for m in rank_r_matrices(random.Random(23), range(2, 6)):
+        spec = DgSpec(m)
+        assert spec.cohomology(2).h2_data == dense_h2_data(spec), m
+
+
+def test_h1_basis_matches_dense_kernel_of_transpose():
+    # H^1(A) is read off the complex F on one generator, from sparse_kernel on
+    # the rows of d : A^1 -> A^2; those rows are the rows of M^T, so the
+    # basis is the dense kernel_basis of M^T as linear forms, in its order.
+    for m in rank_r_matrices(random.Random(31), range(1, 6)):
+        want = [SkewElement.linear(v, m.rows) for v in kernel_basis(m.T)]
+        assert DgSpec(m).cohomology(2).h1_basis == want, m
 
 
 def test_internal_dimension_consistency():

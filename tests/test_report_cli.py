@@ -33,15 +33,15 @@ def test_report_consistency_battery():
                  [[1, 1, 0], [1, 1, 0], [1, 1, 0]],
                  [[0, 0, 0], [0, 0, 0], [0, 0, 0]]):
         result = analyze(Mat(rows), dmax=5)
-        assert result.consistent, (rows, result.payload["problems"])
+        assert result["consistent"], (rows, result["problems"])
 
 
 def test_report_nonquasi_isomorphic_pair():
     a = analyze(Mat([[1, 0, 1], [0, 1, 0], [1, 0, 1]]), dmax=6)
     b = analyze(Mat([[0, 0, 1], [0, 1, 0], [0, 0, 0]]), dmax=6)
-    assert a.payload["cohomology_dims"] == b.payload["cohomology_dims"]
-    assert a.payload["resolution"]["ext"]["dim"] == 3
-    assert b.payload["resolution"]["ext"]["dim"] == 4
+    assert a["cohomology_dims"] == b["cohomology_dims"]
+    assert a["resolution"]["ext"]["dim"] == 3
+    assert b["resolution"]["ext"]["dim"] == 4
 
 
 def test_analyze_computes_each_answer_once(monkeypatch):
@@ -83,9 +83,9 @@ def test_analyze_computes_each_answer_once(monkeypatch):
 
 def test_report_n2():
     result = analyze(Mat([[1, 0], [0, 0]]), dmax=5)
-    assert result.consistent
-    assert result.payload["calabi_yau"] is True
-    assert result.payload["presented_dims"] == [1, 1, 1, 1, 1, 1]
+    assert result["consistent"]
+    assert result["calabi_yau"] is True
+    assert result["presented_dims"] == [1, 1, 1, 1, 1, 1]
 
 
 def test_n2_presentation_rows():

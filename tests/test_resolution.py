@@ -12,8 +12,9 @@ from reference_linalg import ref_rank
 from reference_resolution import (commutant_matrices, complex_map_rows, ref_complex_columns,
                                   ref_h1_representatives, ref_square_zero_failures,
                                   reference_resolution)
+from skewdg import dg as dg_module
 from skewdg import resolution as resolution_module
-from skewdg.dg import DgSpec
+from skewdg.dg import DgSpec, complex_cohomology_dims
 from skewdg.finalg import FinAlg, frobenius, radical_filtration, recognize_truncated, socle_dim
 from skewdg.linalg import Mat
 from skewdg.qpl import QplMatrix, chi, iso_solve
@@ -22,7 +23,6 @@ from skewdg.resolution import (
     InfinitePattern,
     SemifreeResolution,
     build_resolution,
-    complex_cohomology_dims,
     eilenberg_moore,
     ext_algebra,
     published_resolution,
@@ -147,16 +147,17 @@ def test_h1_representatives_match_dense_kernel(monkeypatch):
     # Each eilenberg_moore round takes the H^1(F) cocycles from sparse_kernel
     # on the rows of d_F; the reference takes them from a dense Mat.  The
     # representatives, and so the resolutions, must be the same.
-    package = resolution_module._h1_representatives
+    package = resolution_module.complex_classes
     rounds = []
 
-    def compared(spec, rows):
-        reps = package(spec, rows)
-        assert reps == ref_h1_representatives(spec, rows), (spec, len(rows))
-        rounds.append(len(reps))
-        return reps
+    def compared(spec, rows, degree):
+        cocycles, coboundaries = package(spec, rows, degree)
+        assert degree == 1
+        assert cocycles == ref_h1_representatives(spec, rows), (spec, len(rows))
+        rounds.append(len(cocycles))
+        return cocycles, coboundaries
 
-    monkeypatch.setattr(resolution_module, "_h1_representatives", compared)
+    monkeypatch.setattr(resolution_module, "complex_classes", compared)
     mats = list(SIX_REPRESENTATIVES.values())
     mats += [Mat(rows) for name, rows in GOLDEN_MATRICES.items() if name.endswith("_image")]
     for m in mats:
@@ -275,7 +276,7 @@ def test_complex_columns_match_per_term_reference(monkeypatch):
     # term by term.  The degrees are the outer loop, so every table is
     # filled with the four n interleaved: a table shared between n gives
     # wrong columns or a missing key.
-    monkeypatch.setattr(resolution_module, "_SHIFTS", {})
+    monkeypatch.setattr(dg_module, "_SHIFTS", {})
     rng = random.Random(71)
     cases = [("M1", build_resolution(SIX_REPRESENTATIVES["M1"])),
              ("published M3", published_resolution("M3"))]
@@ -291,9 +292,9 @@ def test_complex_columns_match_per_term_reference(monkeypatch):
     assert len({res.spec.n for _, res in cases}) == 4
     for degree in range(7):
         for name, res in cases:
-            assert (resolution_module._complex_columns(res.spec, res.d, degree)
+            assert (dg_module._complex_columns(res.spec, res.d, degree)
                     == ref_complex_columns(res.spec, res.d, degree)), (name, degree)
-    assert {key[0] for key in resolution_module._SHIFTS} == {2, 3, 4, 5}
+    assert {key[0] for key in dg_module._SHIFTS} == {2, 3, 4, 5}
 
 
 def test_ext_algebra_sparse_build_matches_dense_constructor():
