@@ -10,6 +10,7 @@ graded Leibniz rule; d^2 = 0 holds for every M.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from math import comb
 from typing import Optional
 
@@ -131,16 +132,15 @@ class DgSpec:
 _SHIFTS = {}  # (n, degree) -> _shift_table; depends on nothing else, so kept once built
 
 
-def _shift_table(n: int, degree: int):
-    """(dim A^{degree+1}, table), table[s][g] = (sign, t) for (-1)^degree (monomial
-    s) g = sign (monomial t): g of degree 1, s and t indices into graded_basis."""
+def _shift_table(n: int, degree: int) -> list[dict]:
+    """table[s][g] = (sign, t) for (-1)^degree (monomial s) g = sign (monomial t):
+    g of degree 1, s and t indices into graded_basis."""
     if (n, degree) not in _SHIFTS:
         index = {mono: i for i, mono in enumerate(graded_basis(n, degree + 1))}
         products = [{g: mono_mul(mono, g) for g in graded_basis(n, 1)}
                     for mono in graded_basis(n, degree)]
-        _SHIFTS[n, degree] = (len(index), [{g: (sign * (-1) ** degree, index[prod])
-                                            for g, (sign, prod) in row.items()}
-                                           for row in products])
+        _SHIFTS[n, degree] = [{g: (sign * (-1) ** degree, index[prod])
+                               for g, (sign, prod) in row.items()} for row in products]
     return _SHIFTS[n, degree]
 
 
@@ -152,12 +152,14 @@ def _complex_columns(spec: DgSpec, rows, degree: int) -> list[dict]:
     (-1)^degree times the monomial times the linear d[j][l], one shift-table
     lookup per term.
     """
-    ndst, shifts = _shift_table(spec.n, degree)
+    ndst = comb(spec.n + degree, spec.n - 1)  # dim A^{degree+1}
     cols = []
     for j, row in enumerate(rows):
         # Every sign is +1 in degree 0 (s = 1), so no negative is formed there.
         lower = [(l * ndst, [(g, c, -c if degree else c) for g, c in row[l].terms.items()])
                  for l in range(j) if row[l].terms]
+        # Only grid entries read the shift table, so A itself (rows = [[]]) builds none.
+        shifts = _shift_table(spec.n, degree) if lower else repeat(None)
         for shift, image in zip(shifts, spec.images(degree)):
             col = {j * ndst + r: c for r, c in image.items()}
             for base, terms in lower:
@@ -172,32 +174,38 @@ def complex_cohomology_dims(spec: DgSpec, rows, dmax: int) -> list[int]:
     """dim H^i of the complex F for 0 <= i <= dmax - 1."""
     # rank(B^T) = rank(B): each column of d_F is one row of its transpose.
     ranks = [0] + [sparse_rank(_complex_columns(spec, rows, d)) for d in range(dmax)]
-    return [len(rows) * len(_shift_table(spec.n, i)[1]) - ranks[i + 1] - ranks[i]
+    return [len(rows) * comb(spec.n + i - 1, spec.n - 1) - ranks[i + 1] - ranks[i]
             for i in range(dmax)]
 
 
-def complex_classes(spec: DgSpec, rows, degree: int) -> tuple[list, list]:
+def complex_classes(spec: DgSpec, rows, degree: int):
     """(cocycles, coboundaries) in F^degree: the columns at the pivots of
     [images of F^{degree-1} | kernel of d_F on F^degree].  The cocycles
     represent a basis of H^degree(F), and the coboundaries are a basis of
-    B^degree.  Each is a list of m SkewElements, its coefficients on e_l."""
+    B^degree.  Each is a list of m SkewElements, its coefficients on e_l.
+
+    The cocycles come as a list and the coboundaries as an iterator that
+    builds each element when it is read: the resolution builder reads only
+    the cocycles, and in its round on m generators about m coboundaries of
+    m entries each would be built for nothing.
+    """
     basis = graded_basis(spec.n, degree)
     bound = _complex_columns(spec, rows, degree - 1) if degree else []
     cocycles = sparse_kernel(sparse_transpose(_complex_columns(spec, rows, degree)).values(),
                              len(rows) * len(basis))
     cols = bound + sparse_rows(cocycles)
     pivots = column_pivots(cols)
+    rank = sum(c < len(bound) for c in pivots)
     zero = SkewElement.zero(spec.n)
-    picked = []
-    for c in pivots:
+
+    def element(col):
         parts = {}
-        for k, x in cols[c].items():
+        for k, x in col.items():
             l, s = divmod(k, len(basis))
             parts.setdefault(l, {})[basis[s]] = x
-        picked.append([SkewElement(spec.n, parts[l]) if l in parts else zero
-                       for l in range(len(rows))])
-    rank = sum(c < len(bound) for c in pivots)
-    return picked[rank:], picked[:rank]
+        return [SkewElement(spec.n, parts[l]) if l in parts else zero for l in range(len(rows))]
+
+    return [element(cols[c]) for c in pivots[rank:]], (element(cols[c]) for c in pivots[:rank])
 
 
 def koszul_dims(n: int, rank: int, dmax: int) -> list[int]:
