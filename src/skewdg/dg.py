@@ -14,8 +14,8 @@ from itertools import repeat
 from math import comb
 from typing import Optional
 
-from .linalg import (Mat, column_basis, column_pivots, kernel_basis, rank_of_columns,
-                     sparse_kernel, sparse_rank, sparse_rows, sparse_transpose)
+from .linalg import (Mat, Q, column_pivots, sparse_kernel, sparse_rank, sparse_rows, sparse_rref,
+                     sparse_transpose)
 from .skew import InternalConsistencyError, SkewElement, coefficient_vector, graded_basis, mono_mul
 
 
@@ -95,13 +95,6 @@ class DgSpec:
         nonzero block is M^T acting on the x_j^2 coordinates.
         """
         return Mat.from_sparse_columns(self.images(d), len(graded_basis(self.n, d + 1)))
-
-    def coboundary_space(self, d: int) -> list[tuple]:
-        """Spanning columns of B^d = im(A^{d-1} -> A^d) in basis coordinates."""
-        if d == 0:
-            return []
-        b = self.boundary_matrix(d - 1)
-        return [b.column(j) for j in range(b.cols)]
 
     def cohomology_dims(self, dmax: int) -> list[int]:
         """dim H^d(A) for 0 <= d <= dmax: A is the complex F on the one
@@ -242,43 +235,25 @@ def cup_kernel(spec: DgSpec) -> tuple[list[tuple], int]:
     """Kernel of the multiplication H^1 (x) H^1 -> H^2 for n = 3.
 
     Returns (relations, new_h2_generators).  Relation coordinates live on
-    the ordered pairs (i, j) of the deterministic h1 basis, row-major; each
-    relation vector is scaled so its first nonzero coordinate is 1.
+    the ordered pairs (i, j) of the H^1 basis of complex_classes, row-major.
+    The relations are the reduced-echelon basis of the kernel, each 1 at its
+    pivot, so they depend on the kernel alone and not on how it was found.
+    H^1, the H^2 cocycles and a basis of B^2 all come from complex_classes.
     """
     if spec.n != 3:
         raise ValueError("cup products are analyzed for n = 3 only")
-    h1 = [SkewElement.linear(v, 3) for v in kernel_basis(spec.m.T)]
-    h = len(h1)
+    h1 = [v[0] for v in complex_classes(spec, [[]], 1)[0]]
+    cocycles, bound = complex_classes(spec, [[]], 2)
     basis2 = graded_basis(3, 2)
-    products = []
-    for u in h1:
-        for v in h1:
-            products.append(coefficient_vector(u * v, 2, basis2))
-    bound = spec.coboundary_space(2)
-    nb = len(bound)
-    if products:
-        joint = Mat.from_columns(products + bound)
-        kern = kernel_basis(joint)
-        relations = []
-        for vec in kern:
-            head = vec[: h * h]
-            if any(x != 0 for x in head):
-                relations.append(head)
-        relations = [tuple(v) for v in column_basis(relations)]
-        relations = [_normalize_head(v) for v in relations]
-        rank_joint = h * h + nb - len(kernel_basis(joint))
-    else:
-        relations = []
-        rank_joint = rank_of_columns(bound)
-    rank_bound = rank_of_columns(bound)
-    image_dim = rank_joint - rank_bound
-    h2_dim = len(basis2) - spec.boundary_matrix(2).rank() - rank_bound
-    return relations, h2_dim - image_dim
-
-
-def _normalize_head(vec):
-    lead = next(x for x in vec if x != 0)
-    return tuple(x / lead for x in vec)
+    heads = len(h1) ** 2
+    cols = sparse_rows([coefficient_vector(e, 2, basis2)
+                        for e in [u * v for u in h1 for v in h1] + [b[0] for b in bound]])
+    # B^2 is a basis, so a kernel vector of [products | B^2] is fixed by its
+    # head: the heads are a basis of the relations.
+    kernel = sparse_kernel(sparse_transpose(cols).values(), len(cols))
+    red = sparse_rref(sparse_rows(v[:heads] for v in kernel))[0]
+    relations = [tuple(row.get(j, Q(0)) for j in range(heads)) for row in red]
+    return relations, len(cocycles) - (heads - len(relations))
 
 
 @dataclass

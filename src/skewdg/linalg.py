@@ -26,7 +26,7 @@ def frac(x) -> Fraction:
 class Mat:
     """Immutable dense matrix over Q (row-major)."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "data", "_rank")
 
     def __init__(self, entries: Iterable[Iterable]):
         data = tuple(tuple(frac(x) for x in row) for row in entries)
@@ -42,6 +42,7 @@ class Mat:
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "rows", len(data))
         object.__setattr__(self, "cols", width)
+        object.__setattr__(self, "_rank", None)  # set by the first rank()
 
     @staticmethod
     def _exact(rows: Iterable[Sequence[Fraction]], width: int) -> "Mat":
@@ -156,7 +157,9 @@ class Mat:
         return Mat([row[n:] for row in red.data])
 
     def rank(self) -> int:
-        return sparse_rank(sparse_rows(self.data))
+        if self._rank is None:
+            object.__setattr__(self, "_rank", sparse_rank(sparse_rows(self.data)))
+        return self._rank
 
 
 # ---------------------------------------------------------------------------
@@ -344,26 +347,8 @@ def sparse_kernel(rows: Iterable[dict], ncols: int) -> list[tuple]:
 
 
 def kernel_basis(a: Mat) -> list[tuple]:
-    """Basis of the nullspace {v : a.v = 0}: the vectors of sparse_kernel
-    on a's nonzero entries, read off the dense rref.
-
-    It stays on the dense rref: sparse_kernel would make verdict_sweep
-    about 12 % faster (BENCH_8.json), past the 10,000 ops at which a 20 s
-    perfbench run reads op_tail_ms at p99.9 instead of p99 (ROADMAP
-    item 6).
-    """
-    red, _, pivots = rref(a)
-    basis = []
-    for j in range(a.cols):
-        if j in pivots:
-            continue
-        v = [Q(0)] * a.cols
-        v[j] = Q(1)
-        for i, p in enumerate(pivots):
-            v[p] = -red.data[i][j]
-        lead = next(x for x in v if x != 0)
-        basis.append(tuple(x / lead for x in v))
-    return basis
+    """Basis of the nullspace {v : a.v = 0}: sparse_kernel on a's rows."""
+    return sparse_kernel(sparse_rows(a.data), a.cols)
 
 
 def solve_linear(a: Mat, b: Sequence) -> tuple[Optional[tuple], list[tuple]]:
@@ -401,15 +386,6 @@ def in_span(vectors: Sequence[Sequence], v: Sequence) -> bool:
         raise ValueError("dimension mismatch")
     particular, _ = solve_linear(Mat.from_columns(vecs), v)
     return particular is not None
-
-
-def rank_of_columns(columns: Sequence[Sequence]) -> int:
-    return len(column_pivots(sparse_rows(columns)))
-
-
-def column_basis(columns: Sequence[Sequence]) -> list:
-    """The pivot columns: a basis of the span, taken from the given columns."""
-    return [columns[j] for j in column_pivots(sparse_rows(columns))]
 
 
 # ---------------------------------------------------------------------------

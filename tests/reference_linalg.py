@@ -37,6 +37,12 @@ def ref_rref(data, ncols):
     return m, len(pivots), pivots
 
 
+def ref_column_pivots(columns, height):
+    """The pivots of ref_rref of the matrix with these columns of the given
+    height: the columns outside the span of the columns before them."""
+    return ref_rref([[col[i] for col in columns] for i in range(height)], len(columns))[2]
+
+
 def ref_det(data):
     """Determinant of a square list of rows by Fraction elimination."""
     n = len(data)

@@ -22,9 +22,11 @@ factors included; the package takes a sparse kernel and skips zero factors.
 
 from fractions import Fraction as Q
 
+from reference_linalg import ref_column_pivots
+
 from skewdg.classify import RANK1, RANK2_DEGENERATE, classify, quadric_coefficients
 from skewdg.dg import DgSpec
-from skewdg.linalg import Mat, column_basis, kernel_basis, rank_of_columns, solve_linear
+from skewdg.linalg import Mat, kernel_basis, solve_linear
 from skewdg.qpl import QplMatrix, chi
 from skewdg.resolution import SemifreeResolution
 from skewdg.skew import SkewElement, coefficient_vector, graded_basis, mono_mul
@@ -124,7 +126,8 @@ def ref_h1_representatives(spec, rows):
             for i, mono in enumerate(basis1):
                 col[l * n + i] = rows[j][l].terms.get(mono, Q(0))
         bound.append(tuple(col))
-    reps = column_basis(bound + cocycles)[rank_of_columns(bound):]
+    cols = bound + cocycles
+    reps = [cols[p] for p in ref_column_pivots(cols, m * n) if p >= len(bound)]
     return [[SkewElement(n, {mono: vec[j * n + i] for i, mono in enumerate(basis1)})
              for j in range(m)] for vec in reps]
 

@@ -25,7 +25,7 @@ from conftest import (COHOMOLOGY_CASE_REPS, ERRATUM_1_1, NOT_CY, PLANAR_FAMILIES
 from skewdg.classify import classify, presentation_of, presented_dims, theorem_c
 from skewdg.dg import DgSpec, cy_probe
 from skewdg.finalg import frobenius, recognize_truncated, sklyanin_e, socle_dim
-from skewdg.linalg import Mat, rank_of_columns
+from skewdg.linalg import Mat
 from skewdg.qpl import QplMatrix, chi, is_quasi_permutation, iso_solve
 from skewdg.report import analyze, n2_presentation
 from skewdg.resolution import (SIX_REPRESENTATIVES, build_resolution, ext_algebra,
@@ -339,7 +339,7 @@ def test_criterion_09_structured_scan():
         final = [4 * vi * ti + 2 * ui * qi + 4 * ri * ri
                  for vi, ti, ui, qi, ri in zip(v, t, u, q, r)]
         cols = [m.T.column(j) for j in range(3)] + [tuple(final)]
-        assert rank_of_columns(cols) == 3, entry
+        assert Mat.from_columns(cols).rank() == 3, entry
     announce(9, True,
              "%d degenerate rank-2 grid matrices scanned, %d in the deepest "
              "branch, all matching a type pattern with the rank jump (%.0fs)"

@@ -197,7 +197,7 @@ def test_presented_dims_match_word_rank_oracle():
 def test_presented_dims_match_cohomology_to_degree_ten():
     # Out of the oracle's reach: brute-force H(A) against the presentation
     # through degree 10.  The NOT_CY families are left out: their displayed
-    # presentations lack a cubic relation (ROADMAP item 1).
+    # presentations lack a cubic relation (ROADMAP item 4).
     checked = 0
     for name, m, smooth in _classified_matrices():
         if smooth:

@@ -6,11 +6,11 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_linalg import ref_rank
+from reference_linalg import ref_column_pivots, ref_rank, ref_rref
 
 from skewdg.dg import DgSpec, InternalConsistencyError, cup_kernel, cy_probe, koszul_dims
-from skewdg.linalg import Mat, column_basis, kernel_basis, rank_of_columns
-from skewdg.skew import SkewElement, graded_basis
+from skewdg.linalg import Mat, kernel_basis
+from skewdg.skew import SkewElement, coefficient_vector, graded_basis
 
 
 def spec_of(rows):
@@ -111,17 +111,20 @@ def test_h1_dimension_is_corank():
 
 def dense_h2_data(spec):
     """(cocycles, coboundaries) by dense linear algebra: Z^2 from kernel_basis
-    on the boundary matrix, B^2 from its spanning columns, the cocycles at
-    the pivots of [B^2 | Z^2] past those of B^2."""
+    on the boundary matrix, B^2 from the spanning columns of the one below,
+    the cocycles at the pivots of [B^2 | Z^2] past those of B^2."""
     z2 = kernel_basis(spec.boundary_matrix(2))
-    bound = spec.coboundary_space(2)
+    b1 = spec.boundary_matrix(1)
+    bound = [b1.column(j) for j in range(b1.cols)]
     basis2 = graded_basis(spec.n, 2)
+    cols = bound + z2
+    pivots = ref_column_pivots(cols, len(basis2))
+    rank = sum(p < len(bound) for p in pivots)
 
     def element(vec):
         return SkewElement(spec.n, dict(zip(basis2, vec)))
 
-    return ([element(v) for v in column_basis(bound + z2)[rank_of_columns(bound):]],
-            [element(v) for v in column_basis(bound)])
+    return ([element(cols[p]) for p in pivots[rank:]], [element(cols[p]) for p in pivots[:rank]])
 
 
 def rank_r_matrices(rng, ns, per_rank=2):
@@ -250,6 +253,42 @@ def test_cup_kernel_three_generator_case():
     relations, extra = cup_kernel(spec_of([[0, 1, 0], [0, 0, 0], [0, 1, 0]]))
     assert len(relations) == 2
     assert extra == 1
+
+
+def dense_cup_kernel(spec):
+    """(relation space, new H^2 generators) by dense linear algebra: H^1 from
+    kernel_basis(M^T), B^2 spanned by the columns of boundary_matrix(1), the
+    relations as the ref_rref rows of the heads of kernel_basis on
+    [products | B^2 columns], and the ranks by ref_rank."""
+    h1 = [SkewElement.linear(v, 3) for v in kernel_basis(spec.m.T)]
+    basis2 = graded_basis(3, 2)
+    products = [coefficient_vector(u * v, 2, basis2) for u in h1 for v in h1]
+    b1 = spec.boundary_matrix(1)
+    bound = [b1.column(j) for j in range(b1.cols)]
+    joint = Mat.from_columns(products + bound)
+    heads = [v[:len(products)] for v in kernel_basis(joint)]
+    red, rank, _ = ref_rref(heads, len(products))
+    rank_bound = ref_rank(b1.data, b1.cols)
+    image_dim = ref_rank(joint.data, joint.cols) - rank_bound
+    b2 = spec.boundary_matrix(2)
+    h2_dim = len(basis2) - ref_rank(b2.data, b2.cols) - rank_bound
+    return [tuple(row) for row in red[:rank]], h2_dim - image_dim
+
+
+def test_cup_kernel_matches_dense_reference():
+    # The relations come back as the reduced-echelon basis of their space,
+    # so they equal the reference's ref_rref rows, whichever spanning set of
+    # B^2 the reference eliminates against.
+    seen = set()
+    for m in rank_r_matrices(random.Random(41), [3], per_rank=50):
+        relations, extra = cup_kernel(DgSpec(m))
+        assert (relations, extra) == dense_cup_kernel(DgSpec(m)), m
+        if len(relations) == 1 and m.rank() == 1:
+            t1, t3, _, t2 = relations[0]
+            seen.add("degenerate" if t1 * t2 == t3 * t3 else "nondegenerate")
+        elif len(relations) == 2:
+            seen.add("two relations")
+    assert seen == {"degenerate", "nondegenerate", "two relations"}
 
 
 def test_cy_probe_examples():
