@@ -111,7 +111,7 @@ def test_h1_dimension_is_corank():
 
 def dense_h2_data(spec):
     """(cocycles, coboundaries) by dense linear algebra: Z^2 from kernel_basis
-    on the boundary matrix, B^2 from the spanning columns of the one below,
+    on the boundary matrix, B^2 spanned by the columns of boundary_matrix(1),
     the cocycles at the pivots of [B^2 | Z^2] past those of B^2."""
     z2 = kernel_basis(spec.boundary_matrix(2))
     b1 = spec.boundary_matrix(1)

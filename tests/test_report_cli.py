@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from skewdg import report, resolution
+from skewdg import linalg, report, resolution
 from skewdg.classify import classify, theorem_c
 from skewdg.cli import main
 from skewdg.dg import DgSpec
@@ -48,9 +48,17 @@ def test_analyze_computes_each_answer_once(monkeypatch):
     # One report builds one DgSpec, classifies once and asks Theorem C once;
     # the resolution is built over that spec, label and verdict.  classify
     # answers its B^2 membership tests by solving M^T x = b, without a
-    # DgSpec of its own.
+    # DgSpec of its own.  M is eliminated for its rank once: the later
+    # rank() calls on the same Mat read the kept rank.
     counts = Counter()
     real_init = DgSpec.__init__
+    real_rank = linalg.sparse_rank
+    rows_of_m = []
+
+    def counted_rank(rows):
+        rows = list(rows)
+        counts["rank of M"] += rows == rows_of_m
+        return real_rank(rows)
 
     def counted_init(self, m):
         counts["DgSpec"] += 1
@@ -65,6 +73,7 @@ def test_analyze_computes_each_answer_once(monkeypatch):
         return theorem_c(m)
 
     monkeypatch.setattr(DgSpec, "__init__", counted_init)
+    monkeypatch.setattr(linalg, "sparse_rank", counted_rank)
     for module in (report, resolution):
         monkeypatch.setattr(module, "classify", counted_classify)
         monkeypatch.setattr(module, "theorem_c", counted_theorem_c)
@@ -73,10 +82,13 @@ def test_analyze_computes_each_answer_once(monkeypatch):
         if len(rows) > 3:
             continue
         counts.clear()
-        analyze(Mat(rows))
+        m = Mat(rows)
+        rows_of_m[:] = linalg.sparse_rows(m.data)
+        analyze(m)
         once = 1 if len(rows) == 3 else 0
         assert (counts["classify"], counts["theorem_c"]) == (once, once), name
         assert counts["DgSpec"] == 1, name
+        assert counts["rank of M"] == 1, name
         checked += 1
     assert checked == len(GOLDEN_MATRICES) - 2
 
