@@ -16,20 +16,25 @@ from typing import Optional
 
 from .linalg import (Mat, Q, column_pivots, sparse_kernel, sparse_rank, sparse_rows, sparse_rref,
                      sparse_transpose)
-from .skew import InternalConsistencyError, SkewElement, coefficient_vector, graded_basis, mono_mul
+from .skew import (InternalConsistencyError, SkewElement, add_terms, coefficient_vector,
+                   graded_basis, mono_mul)
 
 
 class DgSpec:
     """The DG algebra on O_{-1}(k^n) determined by an n x n matrix."""
 
-    __slots__ = ("n", "m", "_img_cache")
+    __slots__ = ("n", "m", "_support", "_img_cache", "_mono_images")
 
     def __init__(self, m: Mat):
         if m.rows != m.cols:
             raise ValueError("defining matrix must be square")
         object.__setattr__(self, "n", m.rows)
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "_img_cache", {})
+        # Row i of M as (j, M[i][j], -M[i][j]) over its nonzero entries.
+        object.__setattr__(self, "_support", [[(j, x, -x) for j, x in enumerate(row) if x]
+                                              for row in m.data])
+        object.__setattr__(self, "_img_cache", {})  # degree -> images(degree)
+        object.__setattr__(self, "_mono_images", {})  # monomial -> _image_of(monomial)
 
     def __setattr__(self, name, value):
         raise AttributeError("DgSpec is immutable")
@@ -56,20 +61,32 @@ class DgSpec:
         prefix = 0
         for i, a_i in enumerate(mono):
             if a_i % 2:
-                for j, mij in enumerate(self.m.data[i]):
-                    if mij:
-                        new = list(mono)
-                        new[i] -= 1
-                        new[j] += 2
-                        yield tuple(new), (-mij if prefix % 2 else mij)
+                for j, mij, minus in self._support[i]:
+                    new = list(mono)
+                    new[i] -= 1
+                    new[j] += 2
+                    yield tuple(new), (minus if prefix % 2 else mij)
             prefix += a_i
+
+    def _image_of(self, mono) -> dict:
+        """The terms of _monomial_image(mono) as {monomial: coefficient},
+        built once per monomial.  The dict is shared by every later call, so
+        no caller may change it or hand it out."""
+        image = self._mono_images.get(mono)
+        if image is None:
+            image = self._mono_images[mono] = dict(self._monomial_image(mono))
+        return image
 
     def differential(self, u: SkewElement) -> SkewElement:
         """Apply the degree +1 differential to an element."""
         if u.n != self.n:
             raise ValueError("element has wrong variable count")
-        return SkewElement(self.n, [(key, coeff * c) for mono, coeff in u.terms.items()
-                                    for key, c in self._monomial_image(mono)])
+        acc = {}
+        for mono, coeff in u.terms.items():
+            image = self._image_of(mono).items()
+            # A unit coefficient, the common case, needs no product.
+            add_terms(acc, image if coeff == 1 else [(key, coeff * c) for key, c in image])
+        return SkewElement._tidy(self.n, acc)
 
     # -- boundary matrices and cohomology -------------------------------------
 
@@ -82,7 +99,7 @@ class DgSpec:
         cached = self._img_cache.get(d)
         if cached is None:
             index = {m: i for i, m in enumerate(graded_basis(self.n, d + 1))}
-            cached = [{index[m]: c for m, c in self._monomial_image(mono)}
+            cached = [{index[m]: c for m, c in self._image_of(mono).items()}
                       for mono in graded_basis(self.n, d)]
             self._img_cache[d] = cached
         return cached

@@ -124,7 +124,7 @@ def verify_resolution(spec: DgSpec, res: SemifreeResolution, dmax: int = 5) -> V
         for l in range(m):
             acc = {}
             for mono, c in rows[j][l].terms.items():
-                for key, x in spec._monomial_image(mono):
+                for key, x in spec._image_of(mono).items():
                     acc[key] = acc.get(key, 0) + c * x
             for k, left in nonzero[j]:
                 for a, x in left:

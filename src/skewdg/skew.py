@@ -64,6 +64,20 @@ def mono_degree(a: Monomial) -> int:
     return sum(a)
 
 
+def add_terms(acc: dict, pairs) -> dict:
+    """Add (monomial, nonzero coefficient) pairs into acc in place and
+    return it, dropping each monomial whose coefficients cancel."""
+    for m, c in pairs:
+        c0 = acc.get(m)
+        if c0 is not None:
+            c += c0
+            if not c:
+                del acc[m]
+                continue
+        acc[m] = c
+    return acc
+
+
 class SkewElement:
     """Element of O_{-1}(k^n): finite sum of coefficient * normal monomial."""
 
@@ -90,6 +104,17 @@ class SkewElement:
                         tidy[mono] = c
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", tidy)
+
+    @staticmethod
+    def _tidy(n: int, terms: dict) -> "SkewElement":
+        """An element over terms that are already tidy: monomial tuples of
+        arity n, each once, with nonzero Fraction coefficients.  The
+        arithmetic builds its results so; outside input goes through
+        __init__."""
+        elt = object.__new__(SkewElement)
+        object.__setattr__(elt, "n", n)
+        object.__setattr__(elt, "terms", terms)
+        return elt
 
     def __setattr__(self, name, value):
         raise AttributeError("SkewElement is immutable")
@@ -140,35 +165,39 @@ class SkewElement:
 
     def __add__(self, other: "SkewElement") -> "SkewElement":
         self._check(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, Q(0)) + c
-        return SkewElement(self.n, terms)
+        return SkewElement._tidy(self.n, add_terms(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other: "SkewElement") -> "SkewElement":
         return self + (-other)
 
     def __neg__(self) -> "SkewElement":
-        return SkewElement(self.n, {m: -c for m, c in self.terms.items()})
+        return SkewElement._tidy(self.n, {m: -c for m, c in self.terms.items()})
 
     def scale(self, c) -> "SkewElement":
         c = frac(c)
-        return SkewElement(self.n, {m: c * x for m, x in self.terms.items()})
+        if not c:
+            return SkewElement.zero(self.n)
+        if c == -1:
+            return -self
+        if c == 1:
+            return SkewElement._tidy(self.n, dict(self.terms))
+        return SkewElement._tidy(self.n, {m: c * x for m, x in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, SkewElement):
             return self.scale(other)
         self._check(other)
-        terms = {}
+        return SkewElement._tidy(self.n, add_terms({}, self._products(other)))
+
+    def _products(self, other: "SkewElement"):
+        """The terms of the product, one per pair of terms: c1 c2 is formed
+        once, or not at all when c1 = 1, and negated on an odd sign."""
         for m1, c1 in self.terms.items():
+            unit = c1 == 1
             for m2, c2 in other.terms.items():
                 sign, m = mono_mul(m1, m2)
-                c = terms.get(m, Q(0)) + sign * c1 * c2
-                if c == 0:
-                    terms.pop(m, None)
-                else:
-                    terms[m] = c
-        return SkewElement(self.n, terms)
+                c = c2 if unit else c1 * c2
+                yield m, (c if sign > 0 else -c)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -188,24 +217,30 @@ class SkewElement:
         return render_element(self)
 
 
+_BASES = {}  # (n, d) -> graded_basis(n, d); depends on nothing else, so kept once built
+
+
 def graded_basis(n: int, d: int) -> list[Monomial]:
     """All degree-d normal monomials, largest exponent vector first.
 
     The count is C(n+d-1, n-1); the order puts x_1^d first and x_n^d last.
+    Each call returns a fresh list, so a caller may change it.
     """
     if d < 0:
         raise ValueError("negative degree")
-    monomials = set()
-    for combo in combinations_with_replacement(range(n), d):
-        exps = [0] * n
-        for i in combo:
-            exps[i] += 1
-        monomials.add(tuple(exps))
-    result = sorted(monomials, reverse=True)
-    if len(result) != comb(n + d - 1, n - 1):
-        raise InternalConsistencyError("degree-%d basis of %d variables has %d monomials"
-                                       % (d, n, len(result)))
-    return result
+    if (n, d) not in _BASES:
+        monomials = set()
+        for combo in combinations_with_replacement(range(n), d):
+            exps = [0] * n
+            for i in combo:
+                exps[i] += 1
+            monomials.add(tuple(exps))
+        result = sorted(monomials, reverse=True)
+        if len(result) != comb(n + d - 1, n - 1):
+            raise InternalConsistencyError("degree-%d basis of %d variables has %d monomials"
+                                           % (d, n, len(result)))
+        _BASES[n, d] = result
+    return list(_BASES[n, d])
 
 
 def coefficient_vector(elt: SkewElement, d: int, basis=None) -> tuple:

@@ -1,8 +1,12 @@
-"""Shared fixtures: the example batteries and cached battery results."""
+"""Shared fixtures: the example batteries, cached battery results and
+random skew elements."""
+
+from fractions import Fraction
 
 import pytest
 
 from skewdg.linalg import Mat
+from skewdg.skew import SkewElement, graded_basis
 
 # Example matrices per resolution subcase.  Item (8) of the first family in
 # the source listing, [[1,-1,0],[1,1,1],[1,-1,1]], has determinant 2 and is
@@ -129,6 +133,24 @@ def product_rule_size(m):
     assert all(m[i, n - 1] == 0 for i in range(n)), m
     block = Mat([[m[i, j] for j in range(n - 1)] for i in range(n - 1)])
     return fresh_minimal_size(block) * fresh_minimal_size(Mat([[0]]))
+
+
+def random_element(rng, n, size):
+    """Up to `size` terms of degree 0..3 with small rational coefficients;
+    drawing a monomial twice merges (and sometimes cancels) its terms."""
+    monos = [m for d in range(4) for m in graded_basis(n, d)]
+    return SkewElement(n, [(rng.choice(monos), Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+                           for _ in range(size)])
+
+
+def assert_tidy(elt, n):
+    """The terms are what the public constructor makes of them: Fraction
+    coefficients, none zero, on tuple monomials of arity n."""
+    assert elt.n == n
+    assert elt == SkewElement(n, list(elt.terms.items()))
+    for mono, c in elt.terms.items():
+        assert type(mono) is tuple and len(mono) == n
+        assert type(c) is Fraction and c != 0
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from conftest import assert_tidy, random_element
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_linalg import ref_column_pivots, ref_rank, ref_rref
@@ -87,6 +88,36 @@ def test_leibniz_exact():
             assert spec.differential(a * b) == \
                 spec.differential(a) * b + (a * spec.differential(b)).scale(sign)
 
+
+def summed_images(spec, u):
+    """d(u) summed term by term over the uncached _monomial_image."""
+    return SkewElement(spec.n, [(key, coeff * c) for mono, coeff in u.terms.items()
+                                for key, c in spec._monomial_image(mono)])
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_differential_is_tidy_and_matches_the_monomial_images(n):
+    rng = random.Random(8000 + n)
+    for _ in range(4):
+        spec = spec_of([[Q(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(n)]
+                        for _ in range(n)])
+        units = [SkewElement(n, {m: 1}) for d in range(4) for m in graded_basis(n, d)]
+        mixed = [random_element(rng, n, rng.randint(0, 6)) for _ in range(20)]
+        # The sum of two images can cancel: x1 x2 + x2 x1 = 0 before d.
+        x1, xn = SkewElement.variable(1, n), SkewElement.variable(n, n)
+        for u in units + mixed + [x1 * xn + xn * x1, (x1 + xn) * (x1 - xn), -x1]:
+            expect = summed_images(spec, u)
+            first = spec.differential(u)
+            assert first == expect and spec.differential(u) == expect
+            assert_tidy(first, n)
+            # A caller that changes a result must not change the next one.
+            first.terms.clear()
+            spec.differential(u).terms[(9,) * n] = Q(1)
+            assert spec.differential(u) == expect
+        for d in range(3):
+            assert spec.images(d) == [{graded_basis(n, d + 1).index(key): c
+                                       for key, c in spec._monomial_image(m)}
+                                      for m in graded_basis(n, d)]
 
 def test_cohomology_dims_examples():
     assert DgSpec(Mat.identity(3)).cohomology(3).dims == [1, 0, 0, 0]

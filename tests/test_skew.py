@@ -1,10 +1,12 @@
 """The sign conventions and arithmetic of O_{-1}(k^n)."""
 
+import random
 from fractions import Fraction as Q
 from itertools import product
 from math import comb
 
 import pytest
+from conftest import assert_tidy, random_element
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -134,3 +136,36 @@ def test_render_and_parse():
 def test_parse_roundtrip(terms):
     elt = SkewElement(3, terms)
     assert parse_element(render_element(elt), 3) == elt
+
+
+def test_graded_basis_returns_a_fresh_list():
+    first = graded_basis(3, 2)
+    expect = list(first)
+    first.reverse()
+    first.append((9, 9, 9))
+    del first[0]
+    assert graded_basis(3, 2) == expect
+    assert graded_basis(3, 2) is not graded_basis(3, 2)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_arithmetic_results_are_tidy(n):
+    rng = random.Random(7000 + n)
+    x1 = SkewElement.variable(1, n)
+    xn = SkewElement.variable(n, n)
+    # (x1 + xn)^2 = x1^2 + xn^2 when n > 1: the mixed products cancel.
+    fixed = [SkewElement.zero(n), SkewElement.one(n), x1, x1 + xn, x1 - xn.scale(Q(2, 3))]
+    for _ in range(40):
+        a = random_element(rng, n, rng.randint(0, 6))
+        b = random_element(rng, n, rng.randint(0, 6))
+        c = rng.choice(fixed)
+        # a - a, a + (-a) and a + (b - a) cancel term by term.
+        results = [a + b, a - b, a - a, a + (-a), a + (b - a), -a, a * b, b * a, a * c, c * a,
+                   c * c, (a + c) * (a - c)]
+        results += [a.scale(k) for k in (0, 1, -1, Q(1), Q(-1), 2, Q(-3, 4))]
+        results += [3 * a, a * Q(-1, 2)]
+        for elt in results:
+            assert_tidy(elt, n)
+        assert a + (b - a) == b
+        assert (a - a).is_zero() and (a + (-a)).is_zero() and a.scale(0).is_zero()
+        assert a.scale(1) == a and a.scale(-1) == -a and a.scale(1).terms is not a.terms
