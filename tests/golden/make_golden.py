@@ -31,7 +31,8 @@ def _image(rows, permutation, scales):
 
 
 # One matrix per taxonomy leaf, the six equality representatives, a NOT_CY
-# matrix, an n = 2 case, the images used by the isomorphism pairs, three more
+# matrix, an n = 2 case, the images used by the isomorphism pairs, a pair
+# whose scale systems all fail only at the closure condition, three more
 # chi-images with non-integer entries, and one n = 4 and one n = 5 input.
 MATRICES = {
     "rank3": [[1, -1, 0], [1, 1, 1], [1, -1, 1]],
@@ -62,6 +63,8 @@ MATRICES = {
     "case4_image": _image(CASE_4, (1, 2, 0), (2, -1, "1/3")),
     "closure_a": [[1, 1, 0], [0, 0, 0], [0, 0, 0]],
     "closure_b": [[1, 2, 0], [0, 0, 0], [0, 0, 0]],
+    "residual_a": [[1, 1, 0], [0, 1, 0], [0, 0, 0]],
+    "residual_b": [[1, 2, 0], [0, 1, 0], [0, 0, 0]],
     "M1_image": _image([[0, 1, 1], [0, 0, 0], [0, 0, 0]], (2, 0, 1), (2, -1, "1/3")),
     "sub_1_2_4_image": _image([[0, 1, 1], [0, 0, 1], [0, 0, 0]], (0, 2, 1), (3, "1/2", 2)),
     "not_cy_image": _image([[1, 1, 1], [1, 1, 1], [2, 2, 2]], (1, 0, 2), ("1/2", 3, -1)),
@@ -82,6 +85,10 @@ ISO_PAIRS = (
     ("closure_a", "closure_b"),  # ClosureOnly
     ("M1", "M2"),  # NotIsomorphic
     ("n2", "n2_image"),  # n = 2
+    ("M1", "M1_image"),  # Witness through a 3-cycle
+    ("sub_1_2_4", "sub_1_2_4_image"),  # Witness through a transposition
+    ("not_cy", "not_cy_image"),  # Witness at the identity permutation
+    ("residual_a", "residual_b"),  # NotIsomorphic at the closure condition
 )
 
 

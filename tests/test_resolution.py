@@ -315,7 +315,7 @@ def test_ext_algebra_sparse_build_matches_dense_constructor():
         assert (dense.structure, dense.unit, dense.radical_powers) == \
             (ext.structure, ext.unit, ext.radical_powers), name
         seen += 1
-    assert seen == 27
+    assert seen == 29
 
 
 def test_representative_resolutions(representative_resolutions):
