@@ -29,7 +29,7 @@ from .resolution import (
     ext_algebra,
     verify_resolution,
 )
-from .skew import SkewElement, graded_basis
+from .skew import add_terms, graded_basis, mono_mul
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -107,11 +107,23 @@ def cmd_validate(args) -> int:
     # images are the rows of the transposed maps, so their product is (d d)^T.
     square_zero = not any(any(sparse_matmul(spec.images(d), spec.images(d + 1)))
                           for d in range(max_deg + 1))
-    # d(ab) = d(a) b + (-1)^|a| a d(b) on the monomials of degrees 1 and 2.
-    low = [(d, SkewElement(n, {mono: 1})) for d in (1, 2) for mono in graded_basis(n, d)]
-    leibniz = all(spec.differential(a * b)
-                  == spec.differential(a) * b + (a * spec.differential(b)).scale((-1) ** da)
-                  for da, a in low for _, b in low)
+    # d(ab) = d(a) b + (-1)^|a| a d(b) on the monomials of degrees 1 and 2,
+    # both sides summed as coefficient dicts from the cached monomial images.
+    # Every sign is +-1, so it negates a coefficient rather than multiplying it.
+    def leibniz_holds(a, b):
+        sign, ab = mono_mul(a, b)
+        rhs = {}
+        for t, c in spec._image_of(a).items():
+            s, p = mono_mul(t, b)
+            add_terms(rhs, [(p, c if s > 0 else -c)])
+        odd = sum(a) % 2 == 1
+        for t, c in spec._image_of(b).items():
+            s, p = mono_mul(a, t)
+            add_terms(rhs, [(p, c if (s > 0) != odd else -c)])
+        return rhs == {t: c if sign > 0 else -c for t, c in spec._image_of(ab).items()}
+
+    low = [mono for d in (1, 2) for mono in graded_basis(n, d)]
+    leibniz = all(leibniz_holds(a, b) for a in low for b in low)
     emit({"check": "validate", "square_zero_up_to_degree": max_deg,
           "square_zero": square_zero, "leibniz_on_low_degrees": leibniz}, args.pretty)
     return EXIT_OK if (square_zero and leibniz) else EXIT_INCONSISTENT

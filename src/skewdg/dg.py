@@ -255,22 +255,25 @@ def cup_kernel(spec: DgSpec) -> tuple[list[tuple], int]:
     the ordered pairs (i, j) of the H^1 basis of complex_classes, row-major.
     The relations are the reduced-echelon basis of the kernel, each 1 at its
     pivot, so they depend on the kernel alone and not on how it was found.
-    H^1, the H^2 cocycles and a basis of B^2 all come from complex_classes.
+    H^1 comes from complex_classes; the basis of B^2 is the columns of the
+    cached images(1) at their pivots, the coboundaries complex_classes picks,
+    and dim H^2 = dim A^2 - dim B^2 - rank(d on A^2).
     """
     if spec.n != 3:
         raise ValueError("cup products are analyzed for n = 3 only")
     h1 = [v[0] for v in complex_classes(spec, [[]], 1)[0]]
-    cocycles, bound = complex_classes(spec, [[]], 2)
+    images = spec.images(1)
+    bound = [images[c] for c in column_pivots(images)]
     basis2 = graded_basis(3, 2)
+    h2_dim = len(basis2) - len(bound) - sparse_rank(spec.images(2))
     heads = len(h1) ** 2
-    cols = sparse_rows([coefficient_vector(e, 2, basis2)
-                        for e in [u * v for u in h1 for v in h1] + [b[0] for b in bound]])
+    cols = sparse_rows([coefficient_vector(u * v, 2, basis2) for u in h1 for v in h1]) + bound
     # B^2 is a basis, so a kernel vector of [products | B^2] is fixed by its
     # head: the heads are a basis of the relations.
     kernel = sparse_kernel(sparse_transpose(cols).values(), len(cols))
     red = sparse_rref(sparse_rows(v[:heads] for v in kernel))[0]
     relations = [tuple(row.get(j, Q(0)) for j in range(heads)) for row in red]
-    return relations, len(cocycles) - (heads - len(relations))
+    return relations, h2_dim - (heads - len(relations))
 
 
 @dataclass

@@ -117,10 +117,13 @@ def chi(m: Mat, c) -> Mat:
         raise ValueError("dimension mismatch")
     sigma, d = c.permutation, c.scales
     out = [[Q(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            out[sigma[i]][sigma[j]] = m[i, j] * d[j] * d[j] / d[i]
-    return Mat(out)
+    for i, row in enumerate(m.data):
+        for j, x in enumerate(row):
+            if x:
+                # x d_j^2 / d_i as one Fraction of integer products.
+                out[sigma[i]][sigma[j]] = Q(x.numerator * d[j].numerator ** 2 * d[i].denominator,
+                                            x.denominator * d[j].denominator ** 2 * d[i].numerator)
+    return Mat._exact(out, n)
 
 
 # -- isomorphism decision -------------------------------------------------------
@@ -162,22 +165,22 @@ def _constraints_for(m: Mat, m2: Mat, sigma: Sequence[int]):
     """Surviving constraints d_i / d_j^2 = m[i][j] / m2[s(i)][s(j)].
 
     Returns None if the zero patterns are incompatible, else a list of
-    (exponent_vector, value) with exponent e_i - 2 e_j.
+    (exponent_vector, (num, den)) with exponent e_i - 2 e_j and the ratio
+    as an unreduced pair of nonzero integers.
     """
     n = m.rows
+    image = [[m2.data[si][sj] for sj in sigma] for si in sigma]
+    if any(bool(a) != bool(b) for row, row2 in zip(m.data, image) for a, b in zip(row, row2)):
+        return None
     constraints = []
-    for i in range(n):
-        for j in range(n):
-            a = m[i, j]
-            b = m2[sigma[i], sigma[j]]
-            if (a == 0) != (b == 0):
-                return None
-            if a == 0:
-                continue
-            exp = [0] * n
-            exp[i] += 1
-            exp[j] -= 2
-            constraints.append((exp, a / b))
+    for i, (row, row2) in enumerate(zip(m.data, image)):
+        for j, (a, b) in enumerate(zip(row, row2)):
+            if a:
+                exp = [0] * n
+                exp[i] += 1
+                exp[j] -= 2
+                ratio = (a.numerator * b.denominator, a.denominator * b.numerator)
+                constraints.append((exp, ratio))
     return constraints
 
 
@@ -216,7 +219,10 @@ def _nth_root(x: Fraction, g: int) -> Optional[Fraction]:
 
 
 def _hermite_rows(constraints):
-    """Row-echelon the multiplicative system with unimodular row operations."""
+    """Row-echelon the multiplicative system with unimodular row operations.
+
+    The values are combined as integer (num, den) pairs; the echelon and
+    residual rows carry their values as Fractions."""
     rows = [(list(e), r) for e, r in constraints]
     n = len(rows[0][0]) if rows else 0
     echelon = []
@@ -235,21 +241,25 @@ def _hermite_rows(constraints):
                 if e[col] != 0:
                     q = e[col] // pe[col]
                     if q:
-                        rows[i] = ([a - q * b for a, b in zip(e, pe)], r * pr ** (-q))
+                        # r * pr^(-q) on the pairs: a negative power swaps pr.
+                        pn, pd = pr if q < 0 else pr[::-1]
+                        k = abs(q)
+                        rows[i] = ([a - q * b for a, b in zip(e, pe)],
+                                   (r[0] * pn ** k, r[1] * pd ** k))
                     if rows[i][0][col] != 0:
                         done = False
             if done:
                 break
         if rows and rows[0][0][col] != 0:
-            e, r = rows.pop(0)
+            e, (num, den) = rows.pop(0)
             if e[col] < 0:
-                e, r = [-x for x in e], 1 / r
-            echelon.append((e, r))
+                e, num, den = [-x for x in e], den, num
+            echelon.append((e, Q(num, den)))
         col += 1
     # Leftover rows have zero exponents and span the left kernel of the
     # exponent matrix: the system is solvable over the algebraic closure
     # exactly when all their values are 1.
-    residual = [(e, r) for e, r in rows if r != 1]
+    residual = [(e, Q(num, den)) for e, (num, den) in rows if num != den]
     return echelon, residual
 
 
@@ -261,7 +271,9 @@ def _solve_scales(constraints, n):
     value admits a rational g-th root; free transformed variables are set
     to 1 and even roots branch over both signs.  Returns (candidates,
     root requirements), or None when the system has no solution even over
-    the algebraic closure; candidates are re-verified by the caller.
+    the algebraic closure; candidates are re-verified by the caller.  Each
+    transformed value is formed on the integer pairs and made a Fraction
+    once.
     """
     if not constraints:
         return [tuple([Q(1)] * n)], []
@@ -270,13 +282,16 @@ def _solve_scales(constraints, n):
     u, d, v = smith_normal_form(exps)
     nc = len(exps)
     transformed = []
-    for i in range(nc):
-        val = Q(1)
-        for c in range(nc):
-            e = u[i][c]
-            if e:
-                val *= values[c] ** e
-        transformed.append(val)
+    for row in u:
+        # prod_c values[c]^e as one numerator and one denominator: a negative
+        # exponent swaps the pair.
+        num = den = 1
+        for e, (a, b) in zip(row, values):
+            if e > 0:
+                num, den = num * a ** e, den * b ** e
+            elif e < 0:
+                num, den = num * b ** -e, den * a ** -e
+        transformed.append(Q(num, den))
     needed: list[RootRequirement] = []
     y_choices = []
     rank = 0

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from reference_qpl import ref_aut_group, ref_iso_solve
 
 from skewdg.linalg import Mat
 from skewdg.qpl import (
@@ -187,3 +188,53 @@ def test_iso_root_beyond_float_range():
     result = iso_solve(m, target)
     assert result.status == "Witness"
     assert chi(m, result.witness) == target
+
+
+def _sparse_matrix(rng, n, rank):
+    """M = L R with factors of n x rank and rank x n, mostly zero entries
+    so that many cells of M vanish and many permutations pass the zero
+    pattern."""
+    entries = [0, 0, 0, 1, -1, 2, 3, Q(1, 2), Q(-2, 3)]
+    left = Mat([[rng.choice(entries) for _ in range(rank)] for _ in range(n)])
+    right = Mat([[rng.choice(entries) for _ in range(n)] for _ in range(rank)])
+    return left * right if rank else Mat.zero(n, n)
+
+
+def reference_pairs(rng, count):
+    """Seeded pairs (M, M') of three kinds in turn: an orbit image chi(M, C),
+    an unrelated matrix of any rank, and chi(M'', C) for M'' equal to M with
+    one column scaled by a non-square."""
+    for k in range(count):
+        n = 2 if k % 10 == 9 else 3
+        m = _sparse_matrix(rng, n, rng.randint(0, n))
+        kind = k % 3
+        if kind == 0:
+            other = m
+        elif kind == 1:
+            other = _sparse_matrix(rng, n, rng.randint(0, n))
+        else:
+            col, s = rng.randrange(n), rng.choice([2, 3, -1, -3, Q(1, 2), Q(-5, 3)])
+            other = Mat([[x * s if j == col else x for j, x in enumerate(row)]
+                         for row in m.data])
+        yield m, chi(other, rand_qpl(rng, n))
+
+
+def test_scale_solver_matches_fraction_reference():
+    # The integer-pair solver gives exactly what the Fraction reference
+    # gives: the same status, permutation, scales, root requirements and
+    # automorphism families, every value a normalized Fraction.
+    seen = set()
+    for m, m2 in reference_pairs(random.Random(53), 2100):
+        result = iso_solve(m, m2)
+        assert result.as_dict() == ref_iso_solve(m, m2).as_dict(), (m, m2)
+        seen.add(result.status)
+        for req in result.root_requirements:
+            assert type(req.radicand) is Q
+        if result.witness is not None:
+            assert all(type(d) is Q for d in result.witness.scales)
+        for side in (m, m2):
+            families = aut_group(side)
+            assert [f.as_dict() for f in families] == \
+                [f.as_dict() for f in ref_aut_group(side)], side
+            assert all(type(v) is Q for f in families for v in f.fixed.values())
+    assert seen == {"Witness", "NotIsomorphic", "ClosureOnly"}

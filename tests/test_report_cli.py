@@ -236,6 +236,23 @@ def test_validate_composes_the_images(capsys, monkeypatch):
     assert record["square_zero"] is False and record["leibniz_on_low_degrees"] is True
 
 
+def test_validate_checks_leibniz_on_the_images(capsys, monkeypatch):
+    # The Leibniz check sums both sides from the monomial images; one image
+    # of degree 3 with its sign flipped breaks d(x1 * x2 x3).
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "inputs",
+                        "not_cy.json")
+    real = DgSpec._image_of
+
+    def flipped(self, mono):
+        image = real(self, mono)
+        return {t: -c for t, c in image.items()} if mono == (1, 1, 1) else image
+
+    monkeypatch.setattr(DgSpec, "_image_of", flipped)
+    assert main(["validate", path, "--max-degree", "0"]) == 3
+    record = json.loads(capsys.readouterr().out)
+    assert record["square_zero"] is True and record["leibniz_on_low_degrees"] is False
+
+
 def test_cli_cohomology_max_degree(tmp_path, capsys):
     # The dims stop at --max-degree, also below the degree-2 data that the
     # record always carries; the H^1 and H^2 fields do not depend on it.
