@@ -218,6 +218,12 @@ def _nth_root(x: Fraction, g: int) -> Optional[Fraction]:
     return -root if neg else root
 
 
+def _times_power(acc: tuple, pair: tuple, e: int) -> tuple:
+    """acc * pair^e on integer (num, den) pairs: a negative power swaps pair."""
+    a, b = pair if e > 0 else pair[::-1]
+    return acc[0] * a ** abs(e), acc[1] * b ** abs(e)
+
+
 def _hermite_rows(constraints):
     """Row-echelon the multiplicative system with unimodular row operations.
 
@@ -241,11 +247,7 @@ def _hermite_rows(constraints):
                 if e[col] != 0:
                     q = e[col] // pe[col]
                     if q:
-                        # r * pr^(-q) on the pairs: a negative power swaps pr.
-                        pn, pd = pr if q < 0 else pr[::-1]
-                        k = abs(q)
-                        rows[i] = ([a - q * b for a, b in zip(e, pe)],
-                                   (r[0] * pn ** k, r[1] * pd ** k))
+                        rows[i] = ([a - q * b for a, b in zip(e, pe)], _times_power(r, pr, -q))
                     if rows[i][0][col] != 0:
                         done = False
             if done:
@@ -283,15 +285,11 @@ def _solve_scales(constraints, n):
     nc = len(exps)
     transformed = []
     for row in u:
-        # prod_c values[c]^e as one numerator and one denominator: a negative
-        # exponent swaps the pair.
-        num = den = 1
-        for e, (a, b) in zip(row, values):
-            if e > 0:
-                num, den = num * a ** e, den * b ** e
-            elif e < 0:
-                num, den = num * b ** -e, den * a ** -e
-        transformed.append(Q(num, den))
+        acc = (1, 1)
+        for e, pair in zip(row, values):
+            if e:
+                acc = _times_power(acc, pair, e)
+        transformed.append(Q(*acc))
     needed: list[RootRequirement] = []
     y_choices = []
     rank = 0
