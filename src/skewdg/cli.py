@@ -41,12 +41,16 @@ class InputError(ValueError):
     pass
 
 
-def load_matrix(path: str) -> Mat:
+def _read_json(path: str):
     try:
         with open(path) as handle:
-            data = json.load(handle)
+            return json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError("cannot read %s: %s" % (path, exc))
+
+
+def load_matrix(path: str) -> Mat:
+    data = _read_json(path)
     try:
         n = int(data["n"])
         if n < 1:
@@ -60,11 +64,7 @@ def load_matrix(path: str) -> Mat:
 
 
 def load_algebra(path: str) -> FinAlg:
-    try:
-        with open(path) as handle:
-            data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError("cannot read %s: %s" % (path, exc))
+    data = _read_json(path)
     try:
         dim = int(data["dim"])
         unit = [Fraction(str(x)) for x in data["unit"]]

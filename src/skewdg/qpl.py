@@ -4,10 +4,12 @@ matrices: chi(M, C) = C^{-1} M (c_ij^2).
 Orbits of the action are exactly the isomorphism classes of DG structures,
 so deciding isomorphism means deciding whether the orbit equation has a
 solution.  For each candidate permutation the scale constraints form a
-multiplicative lattice system d_i / d_j^2 = r_ij.  Its Smith form decides
-it: solvability over the algebraic closure is a character condition on the
-left kernel of the exponent matrix, and a rational witness is a matter of
-extracting rational roots of the transformed values.
+multiplicative lattice system d_i / d_j^2 = r_ij.  Its exponents depend on
+the support of M alone, so the exponent lattice is eliminated once per call
+and each permutation only forms its ratios r_ij.  The Smith form decides the
+system: solvability over the algebraic closure is a character condition on
+the left kernel of the exponent matrix, and a rational witness is a matter
+of extracting rational roots of the transformed values.
 """
 
 from __future__ import annotations
@@ -161,27 +163,41 @@ class IsoResult:
         return out
 
 
-def _constraints_for(m: Mat, m2: Mat, sigma: Sequence[int]):
-    """Surviving constraints d_i / d_j^2 = m[i][j] / m2[s(i)][s(j)].
-
-    Returns None if the zero patterns are incompatible, else a list of
-    (exponent_vector, (num, den)) with exponent e_i - 2 e_j and the ratio
-    as an unreduced pair of nonzero integers.
-    """
+def _exponents(m: Mat) -> list:
+    """The exponent row e_i - 2 e_j of each nonzero cell M[i][j], in
+    row-major order.  It depends on M's support alone, so one elimination
+    of these rows serves every permutation."""
     n = m.rows
+    return [[(k == i) - 2 * (k == j) for k in range(n)]
+            for i, row in enumerate(m.data) for j, x in enumerate(row) if x]
+
+
+def _ratios(m: Mat, m2: Mat, sigma: Sequence[int]):
+    """The ratios m[i][j] / m2[s(i)][s(j)] of the nonzero cells, in the
+    order of _exponents, as unreduced pairs of nonzero integers; None if
+    the zero patterns are incompatible."""
     image = [[m2.data[si][sj] for sj in sigma] for si in sigma]
     if any(bool(a) != bool(b) for row, row2 in zip(m.data, image) for a, b in zip(row, row2)):
         return None
-    constraints = []
-    for i, (row, row2) in enumerate(zip(m.data, image)):
-        for j, (a, b) in enumerate(zip(row, row2)):
-            if a:
-                exp = [0] * n
-                exp[i] += 1
-                exp[j] -= 2
-                ratio = (a.numerator * b.denominator, a.denominator * b.numerator)
-                constraints.append((exp, ratio))
-    return constraints
+    return [(a.numerator * b.denominator, a.denominator * b.numerator)
+            for row, row2 in zip(m.data, image) for a, b in zip(row, row2) if a]
+
+
+def _values(rows, pairs) -> list:
+    """prod pair^z for each integer row z, formed as one integer numerator
+    and one integer denominator (a negative power swaps the pair) and made
+    a Fraction once."""
+    out = []
+    for row in rows:
+        num = den = 1
+        for e, (a, b) in zip(row, pairs):
+            if e < 0:
+                a, b, e = b, a, -e
+            if e:
+                num *= a ** e
+                den *= b ** e
+        out.append(Q(num, den))
+    return out
 
 
 def _int_root(k: int, g: int) -> Optional[int]:
@@ -218,19 +234,17 @@ def _nth_root(x: Fraction, g: int) -> Optional[Fraction]:
     return -root if neg else root
 
 
-def _times_power(acc: tuple, pair: tuple, e: int) -> tuple:
-    """acc * pair^e on integer (num, den) pairs: a negative power swaps pair."""
-    a, b = pair if e > 0 else pair[::-1]
-    return acc[0] * a ** abs(e), acc[1] * b ** abs(e)
+def _hermite_rows(exps):
+    """Row-echelon the exponent rows with unimodular row operations.
 
-
-def _hermite_rows(constraints):
-    """Row-echelon the multiplicative system with unimodular row operations.
-
-    The values are combined as integer (num, den) pairs; the echelon and
-    residual rows carry their values as Fractions."""
-    rows = [(list(e), r) for e, r in constraints]
-    n = len(rows[0][0]) if rows else 0
+    Each row carries its transform, the integer combination of the input
+    rows it stands for, so the value of a row for given ratios is
+    _values(transform, pairs).  Returns the echelon rows as (exponents,
+    transform) and the transforms of the leftover rows, whose exponents
+    are zero: they span the left kernel of the exponent matrix."""
+    nc = len(exps)
+    rows = [(list(e), [int(i == k) for k in range(nc)]) for i, e in enumerate(exps)]
+    n = len(exps[0]) if exps else 0
     echelon = []
     col = 0
     while col < n and rows:
@@ -241,55 +255,43 @@ def _hermite_rows(constraints):
             imin = min(nz, key=lambda i: abs(rows[i][0][col]))
             rows[0], rows[imin] = rows[imin], rows[0]
             done = True
-            pe, pr = rows[0]
+            pe, pt = rows[0]
             for i in range(1, len(rows)):
-                e, r = rows[i]
+                e, t = rows[i]
                 if e[col] != 0:
                     q = e[col] // pe[col]
                     if q:
-                        rows[i] = ([a - q * b for a, b in zip(e, pe)], _times_power(r, pr, -q))
+                        rows[i] = ([a - q * b for a, b in zip(e, pe)],
+                                   [a - q * b for a, b in zip(t, pt)])
                     if rows[i][0][col] != 0:
                         done = False
             if done:
                 break
         if rows and rows[0][0][col] != 0:
-            e, (num, den) = rows.pop(0)
+            e, t = rows.pop(0)
             if e[col] < 0:
-                e, num, den = [-x for x in e], den, num
-            echelon.append((e, Q(num, den)))
+                e, t = [-x for x in e], [-x for x in t]
+            echelon.append((e, t))
         col += 1
-    # Leftover rows have zero exponents and span the left kernel of the
-    # exponent matrix: the system is solvable over the algebraic closure
-    # exactly when all their values are 1.
-    residual = [(e, Q(num, den)) for e, (num, den) in rows if num != den]
-    return echelon, residual
+    return echelon, [t for _, t in rows]
 
 
-def _solve_scales(constraints, n):
-    """Rational solutions of the multiplicative system, via the Smith form.
+def _solve_scales(smith, pairs, n):
+    """Rational solutions of the multiplicative system, via the Smith form
+    (U, D, V) of its exponent rows.
 
     A unimodular change of variables turns the system into independent
     equations y_i^g = value, so a rational witness exists exactly when each
     value admits a rational g-th root; free transformed variables are set
     to 1 and even roots branch over both signs.  Returns (candidates,
     root requirements), or None when the system has no solution even over
-    the algebraic closure; candidates are re-verified by the caller.  Each
-    transformed value is formed on the integer pairs and made a Fraction
-    once.
+    the algebraic closure; candidates are re-verified by the caller.
     """
-    if not constraints:
+    if not pairs:
         return [tuple([Q(1)] * n)], []
-    exps = [list(c[0]) for c in constraints]
-    values = [c[1] for c in constraints]
-    u, d, v = smith_normal_form(exps)
-    nc = len(exps)
-    transformed = []
-    for row in u:
-        acc = (1, 1)
-        for e, pair in zip(row, values):
-            if e:
-                acc = _times_power(acc, pair, e)
-        transformed.append(Q(*acc))
+    u, d, v = smith
+    nc = len(pairs)
+    transformed = _values(u, pairs)
     needed: list[RootRequirement] = []
     y_choices = []
     rank = 0
@@ -315,41 +317,37 @@ def _solve_scales(constraints, n):
     indices = [i for i, _ in y_choices]
     candidates = []
     for combo in product(*[options for _, options in y_choices]):
-        y = [Q(1)] * n
+        y = [(1, 1)] * n
         for i, val in zip(indices, combo):
-            y[i] = val
-        scales = []
-        for k in range(n):
-            val = Q(1)
-            for j in range(n):
-                e = v[k][j]
-                if e:
-                    val *= y[j] ** e
-            scales.append(val)
-        candidates.append(tuple(scales))
+            y[i] = (val.numerator, val.denominator)
+        candidates.append(tuple(_values(v, y)))
     return candidates, needed
 
 
 def iso_solve(m: Mat, m2: Mat) -> IsoResult:
     """Decide whether two defining matrices lie in the same orbit.
 
-    Every permutation is screened structurally, then its multiplicative
-    scale system is solved through its Smith form: permutations whose
-    system has no solution over the algebraic closure are skipped, and a
-    rational witness is extracted whenever the required radicals are
-    rational.  Witnesses are re-verified exactly before being returned.
+    The exponents of the multiplicative scale system depend on M's support
+    alone, so their Smith form is computed once.  Every permutation is
+    screened structurally, then only its ratios are formed and pushed
+    through that Smith form: permutations whose system has no solution
+    over the algebraic closure are skipped, and a rational witness is
+    extracted whenever the required radicals are rational.  Witnesses are
+    re-verified exactly before being returned.
     """
     if m.rows != m.cols or m2.rows != m2.cols or m.rows != m2.rows:
         raise ValueError("matrices must be square of equal size")
     n = m.rows
     if n > 3:
         raise UnsupportedSize("isomorphism search is implemented for n <= 3")
+    exps = _exponents(m)
+    smith = smith_normal_form(exps) if exps else None
     closure_hits = []
     for sigma in permutations(range(n)):
-        constraints = _constraints_for(m, m2, sigma)
-        if constraints is None:
+        pairs = _ratios(m, m2, sigma)
+        if pairs is None:
             continue
-        solved = _solve_scales(constraints, n)
+        solved = _solve_scales(smith, pairs, n)
         if solved is None:
             continue
         candidates, needed = solved
@@ -394,18 +392,17 @@ def aut_group(m: Mat) -> list[AutFamily]:
     n = m.rows
     if n > 3:
         raise UnsupportedSize("automorphism search is implemented for n <= 3")
+    echelon, leftover = _hermite_rows(_exponents(m))
     families = []
     for sigma in permutations(range(n)):
-        constraints = _constraints_for(m, m, sigma)
-        if constraints is None:
-            continue
-        echelon, residual = _hermite_rows(constraints)
-        if residual:
+        pairs = _ratios(m, m, sigma)
+        # Solvable over the algebraic closure iff the left kernel maps to 1.
+        if pairs is None or any(r != 1 for r in _values(leftover, pairs)):
             continue
         fixed = {}
         relations = []
         pivot_cols = set()
-        for e, r in echelon:
+        for (e, _), r in zip(echelon, _values([t for _, t in echelon], pairs)):
             col = next(k for k in range(n) if e[k] != 0)
             pivot_cols.add(col)
             if e[col] == 1 and all(e[k] == 0 for k in range(col + 1, n)):

@@ -8,7 +8,6 @@ with different n is a hard error.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
 from typing import Sequence
@@ -60,10 +59,6 @@ def mono_mul(a: Monomial, b: Monomial) -> tuple[int, Monomial]:
     return (-1 if crossings % 2 else 1), product
 
 
-def mono_degree(a: Monomial) -> int:
-    return sum(a)
-
-
 def add_terms(acc: dict, pairs) -> dict:
     """Add (monomial, nonzero coefficient) pairs into acc in place and
     return it, dropping each monomial whose coefficients cancel."""
@@ -84,7 +79,7 @@ class SkewElement:
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms=None):
-        tidy = {}
+        pairs = []
         if terms:
             for mono, coeff in (terms.items() if isinstance(terms, dict) else terms):
                 c = frac(coeff)
@@ -92,18 +87,9 @@ class SkewElement:
                     continue
                 if len(mono) != n:
                     raise ValueError("monomial arity mismatch")
-                mono = tuple(mono)
-                c0 = tidy.get(mono)
-                if c0 is None:
-                    tidy[mono] = c
-                else:
-                    c = c0 + c
-                    if c == 0:
-                        del tidy[mono]
-                    else:
-                        tidy[mono] = c
+                pairs.append((tuple(mono), c))
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", tidy)
+        object.__setattr__(self, "terms", add_terms({}, pairs))
 
     @staticmethod
     def _tidy(n: int, terms: dict) -> "SkewElement":
@@ -151,11 +137,8 @@ class SkewElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(tuple(mono), Q(0))
-
     def degrees(self) -> set:
-        return {mono_degree(m) for m in self.terms}
+        return {sum(m) for m in self.terms}
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -257,7 +240,7 @@ def coefficient_vector(elt: SkewElement, d: int, basis=None) -> tuple:
 
 
 def _mono_key(m: Monomial):
-    return (mono_degree(m), tuple(-e for e in m))
+    return (sum(m), tuple(-e for e in m))
 
 
 def render_element(elt: SkewElement) -> str:

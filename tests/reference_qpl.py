@@ -1,11 +1,13 @@
 """Test-only reference for skewdg.qpl: the scale solver on Fractions.
 
-These are the Fraction versions of _constraints_for, _solve_scales and
+These are Fraction versions of the package's _ratios, _solve_scales and
 _hermite_rows, with the iso_solve and aut_group loops over them.  Every
 ratio is a reduced Fraction and every power of a value is a Fraction
-power, so they share with the package only the Smith form, the root
-extraction, chi and the result types.  The package solves the same system
-on unreduced integer pairs; comparing the two outputs checks that route.
+power, and each permutation runs its own elimination of (exponents, value)
+rows, so they share with the package only the Smith form, the root
+extraction, chi and the result types.  The package eliminates the exponent
+lattice once per call and maps unreduced integer ratio pairs through the
+transforms; comparing the two outputs checks that route.
 """
 
 from itertools import permutations, product

@@ -6,6 +6,7 @@ from fractions import Fraction as Q
 import pytest
 from reference_qpl import ref_aut_group, ref_iso_solve
 
+from skewdg import qpl
 from skewdg.linalg import Mat
 from skewdg.qpl import (
     QplMatrix,
@@ -171,6 +172,30 @@ def test_closure_decision_regression():
     for fam in families:
         assert fam.fixed == {0: Q(1), 1: Q(1), 2: Q(1)}
         assert not fam.relations and not fam.free
+
+
+def test_one_lattice_elimination_per_call(monkeypatch):
+    # The exponent rows depend on M's support alone, so one iso_solve runs
+    # one Smith form and one aut_group one Hermite elimination, although
+    # all six permutations pass the zero-pattern screen here.
+    calls = {"smith_normal_form": 0, "_hermite_rows": 0}
+
+    def counted(name):
+        inner = getattr(qpl, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        monkeypatch.setattr(qpl, name, wrapper)
+
+    counted("smith_normal_form")
+    counted("_hermite_rows")
+    ones = Mat([[1, 1, 1], [1, 1, 1], [1, 1, 1]])
+    other = Mat([[1, 1, 1], [1, 1, 1], [1, 1, 2]])
+    assert iso_solve(ones, other).status == "NotIsomorphic"
+    assert calls["smith_normal_form"] == 1
+    assert len(aut_group(other)) == 2
+    assert calls["_hermite_rows"] == 1
 
 
 def test_iso_exact_root_of_large_scale():
