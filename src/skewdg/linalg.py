@@ -9,7 +9,9 @@ freely.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -170,10 +172,13 @@ class Mat:
 # ---------------------------------------------------------------------------
 
 
-def _integral(row: dict) -> dict[int, int]:
-    """A sparse rational row times the lcm of its denominators."""
+def _integral(row: dict, order: Optional[dict] = None) -> dict[int, int]:
+    """A sparse rational row times the lcm of its denominators, with each
+    column j renumbered to order[j] when an order is given."""
     denom = lcm(*(x.denominator for x in row.values()))
-    return {j: x.numerator * (denom // x.denominator) for j, x in row.items()}
+    if order is None:
+        return {j: x.numerator * (denom // x.denominator) for j, x in row.items()}
+    return {order[j]: x.numerator * (denom // x.denominator) for j, x in row.items()}
 
 
 def sparse_rows(data) -> list[dict]:
@@ -203,52 +208,60 @@ def _echelon(rows: list[dict[int, int]]):
     Returns (echelon, pivots): the nonzero echelon rows and their pivot
     columns in increasing order.
 
-    Each step takes the least column any remaining row starts in, and a pivot
-    of least magnitude there.  Rows that do not start in the pivot column are
-    left alone, every updated row is divided by its content to keep entries
-    small, and zero rows are dropped.  The input rows are not modified.
+    The rows wait in buckets keyed by their leading column, and the keys in
+    a heap.  Each step pops the least leading column and takes a pivot of
+    least magnitude in its bucket (the first one found on ties).  Only the
+    other rows of that bucket are reduced; each goes to the bucket of its
+    new leading column after division by its content, or is dropped when it
+    becomes zero.  The input rows are not modified.
     """
-    work = [row for row in rows if row]
-    leads = [min(row) for row in work]
-    pivots = []
-    rank = 0
-    while rank < len(work):
-        col = min(leads[rank:])
-        piv = best = None
-        for i in range(rank, len(work)):
-            if leads[i] == col:
-                x = abs(work[i][col])
-                if best is None or x < best:
-                    piv, best = i, x
-                    if x == 1:
-                        break
-        if piv != rank:
-            work[rank], work[piv] = work[piv], work[rank]
-            leads[rank], leads[piv] = leads[piv], leads[rank]
-        prow = work[rank]
+    buckets = {}
+    for row in rows:
+        if row:
+            buckets.setdefault(min(row), []).append(row)
+    heap = list(buckets)
+    heapify(heap)
+    echelon, pivots = [], []
+    while heap:
+        col = heappop(heap)
+        bucket = buckets.pop(col)
+        prow = bucket[0]
+        best = abs(prow[col])
+        for row in bucket:
+            if best == 1:
+                break
+            x = abs(row[col])
+            if x < best:
+                prow, best = row, x
         pval = prow[col]
-        zeroed = False
-        for i in range(rank + 1, len(work)):
-            if leads[i] != col:
+        for row in bucket:
+            if row is prow:
                 continue
-            new = _combine(work[i], work[i][col], prow, pval)
+            new = _combine(row, row[col], prow, pval)
             if new:
-                leads[i] = min(new)
-            else:
-                zeroed = True
-            work[i] = new
-        if zeroed:  # only an updated row can have become zero
-            keep = [i for i, row in enumerate(work) if row]
-            work = [work[i] for i in keep]
-            leads = [leads[i] for i in keep]
+                lead = min(new)
+                if lead in buckets:
+                    buckets[lead].append(new)
+                else:
+                    buckets[lead] = [new]
+                    heappush(heap, lead)
+        echelon.append(prow)
         pivots.append(col)
-        rank += 1
-    return work, pivots
+    return echelon, pivots
 
 
 def sparse_rank(rows: Iterable[dict]) -> int:
-    """Rank of sparse rational rows {column: nonzero coefficient}."""
-    return len(_echelon([_integral(row) for row in rows])[1])
+    """Rank of sparse rational rows {column: nonzero coefficient}.
+
+    The rank does not depend on the order of the columns, so they are
+    renumbered sparsest first (by number of nonzeros, ties by index) while
+    the denominators are cleared: the pivots then fall on short columns and
+    the elimination fills in less.
+    """
+    rows = list(rows)
+    count = Counter(j for row in rows for j in row)
+    order = {j: k for k, j in enumerate(sorted(count, key=lambda j: (count[j], j)))}
+    return len(_echelon([_integral(row, order) for row in rows])[1])
 
 
 def sparse_transpose(cols: Sequence[dict]) -> dict:

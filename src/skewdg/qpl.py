@@ -163,24 +163,34 @@ class IsoResult:
         return out
 
 
-def _exponents(m: Mat) -> list:
-    """The exponent row e_i - 2 e_j of each nonzero cell M[i][j], in
-    row-major order.  It depends on M's support alone, so one elimination
+def _support(m: Mat) -> dict:
+    """Each nonzero cell (i, j) of M mapped to its entry, in row-major
+    order."""
+    return {(i, j): x for i, row in enumerate(m.data) for j, x in enumerate(row) if x}
+
+
+def _exponents(support: dict, n: int) -> list:
+    """The exponent row e_i - 2 e_j of each nonzero cell (i, j), in the
+    order of the support.  It depends on M's support alone, so one elimination
     of these rows serves every permutation."""
-    n = m.rows
-    return [[(k == i) - 2 * (k == j) for k in range(n)]
-            for i, row in enumerate(m.data) for j, x in enumerate(row) if x]
+    return [[(k == i) - 2 * (k == j) for k in range(n)] for i, j in support]
 
 
-def _ratios(m: Mat, m2: Mat, sigma: Sequence[int]):
-    """The ratios m[i][j] / m2[s(i)][s(j)] of the nonzero cells, in the
+def _ratios(support: dict, support2: dict, sigma: Sequence[int]):
+    """The ratios M[i][j] / M'[s(i)][s(j)] of M's nonzero cells, in the
     order of _exponents, as unreduced pairs of nonzero integers; None if
-    the zero patterns are incompatible."""
-    image = [[m2.data[si][sj] for sj in sigma] for si in sigma]
-    if any(bool(a) != bool(b) for row, row2 in zip(m.data, image) for a, b in zip(row, row2)):
+    the zero patterns differ.  With both supports read once per call, a
+    permutation costs one lookup per nonzero cell and no permuted copy of
+    M'."""
+    if len(support) != len(support2):
         return None
-    return [(a.numerator * b.denominator, a.denominator * b.numerator)
-            for row, row2 in zip(m.data, image) for a, b in zip(row, row2) if a]
+    pairs = []
+    for (i, j), a in support.items():
+        b = support2.get((sigma[i], sigma[j]))
+        if b is None:
+            return None
+        pairs.append((a.numerator * b.denominator, a.denominator * b.numerator))
+    return pairs
 
 
 def _values(rows, pairs) -> list:
@@ -340,11 +350,11 @@ def iso_solve(m: Mat, m2: Mat) -> IsoResult:
     n = m.rows
     if n > 3:
         raise UnsupportedSize("isomorphism search is implemented for n <= 3")
-    exps = _exponents(m)
-    smith = smith_normal_form(exps) if exps else None
+    support, support2 = _support(m), _support(m2)
+    smith = smith_normal_form(_exponents(support, n)) if support else None
     closure_hits = []
     for sigma in permutations(range(n)):
-        pairs = _ratios(m, m2, sigma)
+        pairs = _ratios(support, support2, sigma)
         if pairs is None:
             continue
         solved = _solve_scales(smith, pairs, n)
@@ -392,10 +402,11 @@ def aut_group(m: Mat) -> list[AutFamily]:
     n = m.rows
     if n > 3:
         raise UnsupportedSize("automorphism search is implemented for n <= 3")
-    echelon, leftover = _hermite_rows(_exponents(m))
+    support = _support(m)
+    echelon, leftover = _hermite_rows(_exponents(support, n))
     families = []
     for sigma in permutations(range(n)):
-        pairs = _ratios(m, m, sigma)
+        pairs = _ratios(support, support, sigma)
         # Solvable over the algebraic closure iff the left kernel maps to 1.
         if pairs is None or any(r != 1 for r in _values(leftover, pairs)):
             continue

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skewdg.dg import DgSpec, _complex_columns
 from skewdg.linalg import (Mat, _echelon, _integral, column_pivots, in_span, kernel_basis, rref,
-                           solve_linear, sparse_kernel, sparse_rank, sparse_rows)
+                           solve_linear, sparse_kernel, sparse_rank, sparse_rows, sparse_rref)
+from skewdg.resolution import eilenberg_moore
 
 from reference_linalg import (
     ref_column_pivots,
@@ -213,3 +215,70 @@ def test_sparse_kernel_matches_kernel_basis(system):
     assert kernel == ref_kernel_basis(rows, ncols)
     if rows:  # a Mat without rows has no columns
         assert kernel == kernel_basis(Mat(rows))
+
+
+@st.composite
+def structured_sparse_matrices(draw):
+    """(rows, ncols, perm): a 0..60 x 1..60 rational matrix whose rows come
+    in groups sharing one of a few leading columns, with zero rows and
+    repeated or rescaled earlier rows mixed in, and a column permutation."""
+    nrows = draw(st.integers(min_value=0, max_value=60))
+    ncols = draw(st.integers(min_value=1, max_value=60))
+    rng = draw(st.randoms(use_true_random=False))
+    leads = rng.sample(range(ncols), min(ncols, rng.randint(1, 6)))
+    density = rng.choice([0.05, 0.15, 0.4])
+
+    def entry():
+        return Q(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 5))
+
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append([Q(0)] * ncols)
+        elif kind < 0.3 and rows:
+            c = rng.choice([Q(1), Q(1), Q(-1), Q(2), Q(1, 3)])
+            rows.append([c * x for x in rng.choice(rows)])
+        else:
+            lead = rng.choice(leads)
+            rows.append([Q(0)] * lead + [entry()]
+                        + [entry() if rng.random() < density else Q(0)
+                           for _ in range(lead + 1, ncols)])
+    perm = list(range(ncols))
+    rng.shuffle(perm)
+    return rows, ncols, perm
+
+
+@settings(max_examples=60, deadline=None)
+@given(structured_sparse_matrices())
+def test_bucketed_echelon_on_structured_matrices(system):
+    """Many rows per leading column, duplicates and zero rows: the echelon's
+    pivots and leading columns, sparse_rref, column_pivots and sparse_rank
+    agree with the Fraction reference, and sparse_rank does not depend on
+    the order of the columns."""
+    rows, ncols, perm = system
+    ref_red, rank, pivots = ref_rref(rows, ncols)
+    sparse = sparse_rows(rows)
+    echelon, ech_pivots = _echelon([_integral(row) for row in sparse])
+    assert ech_pivots == pivots
+    assert [min(row) for row in echelon] == pivots
+    assert sparse_rref(sparse) == ([{j: x for j, x in enumerate(row) if x}
+                                    for row in ref_red[:rank]], pivots)
+    assert column_pivots(sparse) == ref_column_pivots(rows, ncols)
+    assert sparse_rank(sparse) == rank == ref_rank(rows, ncols)
+    assert sparse_rank({perm[j]: x for j, x in row.items()} for row in sparse) == rank
+
+
+# The n = 5 input of rank 2 whose d_F drove the entries of the
+# natural-order elimination from 17 to 383 bits in degree 4.
+N5_BLOWUP = [[2, -2, 2, 2, 2], [2, -1, 2, 3, 3], [1, -2, 1, 0, 0], [2, -2, 2, 2, 2],
+             [-1, 0, -1, -2, -2]]
+
+
+def test_rank_of_n5_complex_in_degrees_3_and_4():
+    """The resolution closes at size 8, and d_F has rank 193 in degree 3
+    and 367 in degree 4."""
+    spec = DgSpec(Mat(N5_BLOWUP))
+    grid, complete = eilenberg_moore(spec)
+    assert complete and len(grid) == 8
+    assert [sparse_rank(_complex_columns(spec, grid, d)) for d in (3, 4)] == [193, 367]
