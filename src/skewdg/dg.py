@@ -11,30 +11,40 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from math import comb
+from math import comb, lcm
+from operator import add
 from typing import Optional
 
-from .linalg import (Mat, Q, column_pivots, sparse_kernel, sparse_rank, sparse_rows, sparse_rref,
+from .linalg import (Mat, Q, column_pivots, integer_rank, sparse_kernel, sparse_rows, sparse_rref,
                      sparse_transpose)
 from .skew import (InternalConsistencyError, SkewElement, add_terms, coefficient_vector,
-                   graded_basis, mono_mul)
+                   graded_basis, mono_mul, over_common_denominator, over_denominator)
 
 
 class DgSpec:
     """The DG algebra on O_{-1}(k^n) determined by an n x n matrix."""
 
-    __slots__ = ("n", "m", "_support", "_img_cache", "_mono_images")
+    __slots__ = ("n", "m", "_den", "_support", "_img_cache", "_int_img_cache", "_mono_images",
+                 "_int_images")
 
     def __init__(self, m: Mat):
         if m.rows != m.cols:
             raise ValueError("defining matrix must be square")
         object.__setattr__(self, "n", m.rows)
         object.__setattr__(self, "m", m)
-        # Row i of M as (j, M[i][j], -M[i][j]) over its nonzero entries.
-        object.__setattr__(self, "_support", [[(j, x, -x) for j, x in enumerate(row) if x]
-                                              for row in m.data])
+        # The lcm of the denominators of M: times it, every image is an int vector.
+        object.__setattr__(self, "_den", lcm(*[x.denominator for row in m.data for x in row]))
+        # Row i of M as (e_j + e_j - e_i, M[i][j], -M[i][j]) over its nonzero
+        # entries: the exponent change that replaces x_i by x_j^2.
+        n = m.rows
+        object.__setattr__(self, "_support", [
+            [(tuple(2 * (k == j) - (k == i) for k in range(n)), x, -x)
+             for j, x in enumerate(row) if x]
+            for i, row in enumerate(m.data)])
         object.__setattr__(self, "_img_cache", {})  # degree -> images(degree)
+        object.__setattr__(self, "_int_img_cache", {})  # degree -> int_images(degree)
         object.__setattr__(self, "_mono_images", {})  # monomial -> _image_of(monomial)
+        object.__setattr__(self, "_int_images", {})  # monomial -> _int_image_of(monomial)
 
     def __setattr__(self, name, value):
         raise AttributeError("DgSpec is immutable")
@@ -61,11 +71,8 @@ class DgSpec:
         prefix = 0
         for i, a_i in enumerate(mono):
             if a_i % 2:
-                for j, mij, minus in self._support[i]:
-                    new = list(mono)
-                    new[i] -= 1
-                    new[j] += 2
-                    yield tuple(new), (minus if prefix % 2 else mij)
+                for step, mij, minus in self._support[i]:
+                    yield tuple(map(add, mono, step)), (minus if prefix % 2 else mij)
             prefix += a_i
 
     def _image_of(self, mono) -> dict:
@@ -77,16 +84,36 @@ class DgSpec:
             image = self._mono_images[mono] = dict(self._monomial_image(mono))
         return image
 
+    def _int_image_of(self, mono) -> dict:
+        """_image_of(mono) times _den, with int coefficients, built once per
+        monomial and shared like it."""
+        image = self._int_images.get(mono)
+        if image is None:
+            den = self._den
+            image = self._int_images[mono] = {key: c.numerator * (den // c.denominator)
+                                              for key, c in self._image_of(mono).items()}
+        return image
+
     def differential(self, u: SkewElement) -> SkewElement:
         """Apply the degree +1 differential to an element."""
         if u.n != self.n:
             raise ValueError("element has wrong variable count")
-        acc = {}
-        for mono, coeff in u.terms.items():
-            image = self._image_of(mono).items()
-            # A unit coefficient, the common case, needs no product.
-            add_terms(acc, image if coeff == 1 else [(key, coeff * c) for key, c in image])
-        return SkewElement._tidy(self.n, acc)
+        if len(u.terms) == 1:
+            # The image of one monomial has distinct monomials, so nothing is
+            # added up; a coefficient of +-1, the common case, needs no product.
+            (mono, coeff), = u.terms.items()
+            image = self._image_of(mono)
+            if coeff == 1:
+                return SkewElement._tidy(self.n, dict(image))
+            if coeff == -1:
+                return SkewElement._tidy(self.n, {key: -c for key, c in image.items()})
+            return SkewElement._tidy(self.n, {key: coeff * c for key, c in image.items()})
+        # The images of several monomials meet: add them up as ints over one
+        # denominator and divide once per monomial that survives.
+        den, ints = over_common_denominator(u.terms)
+        acc = add_terms({}, ((key, a * x) for mono, a in ints
+                             for key, x in self._int_image_of(mono).items()))
+        return SkewElement._tidy(self.n, over_denominator(acc, den * self._den))
 
     # -- boundary matrices and cohomology -------------------------------------
 
@@ -99,9 +126,20 @@ class DgSpec:
         cached = self._img_cache.get(d)
         if cached is None:
             index = {m: i for i, m in enumerate(graded_basis(self.n, d + 1))}
-            cached = [{index[m]: c for m, c in self._image_of(mono).items()}
+            cached = [{index[m]: c for m, c in self._monomial_image(mono)}
                       for mono in graded_basis(self.n, d)]
             self._img_cache[d] = cached
+        return cached
+
+    def int_images(self, d: int) -> list[dict]:
+        """images(d) times _den, the lcm of the denominators of M: the same
+        columns with int entries, for callers that need only their span."""
+        cached = self._int_img_cache.get(d)
+        if cached is None:
+            den = self._den
+            cached = [{r: c.numerator * (den // c.denominator) for r, c in image.items()}
+                      for image in self.images(d)]
+            self._int_img_cache[d] = cached
         return cached
 
     def boundary_matrix(self, d: int) -> Mat:
@@ -154,24 +192,44 @@ def _shift_table(n: int, degree: int) -> list[dict]:
     return _SHIFTS[n, degree]
 
 
-def _complex_columns(spec: DgSpec, rows, degree: int) -> list[dict]:
+def _complex_columns(spec: DgSpec, rows, degree: int, integral: bool = False) -> list[dict]:
     """d_F : F^degree -> F^{degree+1} as sparse columns.
 
     Column j*|src| + s is the image of (monomial s) e_j: its e_j block is the
     image of the monomial under d_A, and its e_l block for l < j is
     (-1)^degree times the monomial times the linear d[j][l], one shift-table
     lookup per term.
+
+    With integral, every column is multiplied by one positive int, the lcm
+    of the denominators of M and of the grid, so that its entries are ints:
+    the span, and so the rank, stays the same.
+
+    A column of the block e_0 gets no lower terms, so it is the cached image
+    itself, which no caller may change.
     """
     ndst = comb(spec.n + degree, spec.n - 1)  # dim A^{degree+1}
+    if integral:
+        grid_den = lcm(*[c.denominator for row in rows for e in row for c in e.terms.values()])
+        images = spec.int_images(degree)
+        if grid_den > 1:
+            images = [{r: grid_den * x for r, x in image.items()} for image in images]
+        scale = grid_den * spec._den
+    else:
+        images = spec.images(degree)
     cols = []
     for j, row in enumerate(rows):
-        # Every sign is +1 in degree 0 (s = 1), so no negative is formed there.
-        lower = [(l * ndst, [(g, c, -c if degree else c) for g, c in row[l].terms.items()])
-                 for l in range(j) if row[l].terms]
+        lower = []
+        for l in range(j):
+            terms = row[l].terms.items()
+            if integral:
+                terms = [(g, c.numerator * (scale // c.denominator)) for g, c in terms]
+            if terms:
+                # Every sign is +1 in degree 0 (s = 1), so no negative is formed there.
+                lower.append((l * ndst, [(g, c, -c if degree else c) for g, c in terms]))
         # Only grid entries read the shift table, so A itself (rows = [[]]) builds none.
         shifts = _shift_table(spec.n, degree) if lower else repeat(None)
-        for shift, image in zip(shifts, spec.images(degree)):
-            col = {j * ndst + r: c for r, c in image.items()}
+        for shift, image in zip(shifts, images):
+            col = {j * ndst + r: c for r, c in image.items()} if j else image
             for base, terms in lower:
                 for g, c, minus_c in terms:
                     sign, t = shift[g]
@@ -183,7 +241,8 @@ def _complex_columns(spec: DgSpec, rows, degree: int) -> list[dict]:
 def complex_cohomology_dims(spec: DgSpec, rows, dmax: int) -> list[int]:
     """dim H^i of the complex F for 0 <= i <= dmax - 1."""
     # rank(B^T) = rank(B): each column of d_F is one row of its transpose.
-    ranks = [0] + [sparse_rank(_complex_columns(spec, rows, d)) for d in range(dmax)]
+    ranks = [0] + [integer_rank(_complex_columns(spec, rows, d, integral=True))
+                   for d in range(dmax)]
     return [len(rows) * comb(spec.n + i - 1, spec.n - 1) - ranks[i + 1] - ranks[i]
             for i in range(dmax)]
 
@@ -265,7 +324,7 @@ def cup_kernel(spec: DgSpec) -> tuple[list[tuple], int]:
     images = spec.images(1)
     bound = [images[c] for c in column_pivots(images)]
     basis2 = graded_basis(3, 2)
-    h2_dim = len(basis2) - len(bound) - sparse_rank(spec.images(2))
+    h2_dim = len(basis2) - len(bound) - integer_rank(spec.int_images(2))
     heads = len(h1) ** 2
     cols = sparse_rows([coefficient_vector(u * v, 2, basis2) for u in h1 for v in h1]) + bound
     # B^2 is a basis, so a kernel vector of [products | B^2] is fixed by its

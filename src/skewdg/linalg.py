@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -75,12 +76,15 @@ class Mat:
     def from_sparse_columns(columns: Sequence[dict], height: int) -> "Mat":
         """The height x len(columns) matrix whose column j has the Fraction
         entries {row: value} of columns[j] and zeros elsewhere."""
-        zero = Q(0)
-        data = [[zero] * len(columns) for _ in range(height)]
+        width = len(columns)
+        flat = [Q(0)] * (height * width)
         for j, col in enumerate(columns):
             for i, x in col.items():
-                data[i][j] = x
-        return Mat._exact(data, len(columns))
+                flat[i * width + j] = x
+        # zip over one iterator cuts the flat list into the rows, each built
+        # once as a tuple.
+        rows = zip(*[iter(flat)] * width) if width else [()] * height
+        return Mat._exact(rows, width)
 
     def __getitem__(self, ij):
         i, j = ij
@@ -175,10 +179,11 @@ class Mat:
 def _integral(row: dict, order: Optional[dict] = None) -> dict[int, int]:
     """A sparse rational row times the lcm of its denominators, with each
     column j renumbered to order[j] when an order is given."""
-    denom = lcm(*(x.denominator for x in row.values()))
+    dens = [x.denominator for x in row.values()]
+    denom = lcm(*dens)
     if order is None:
-        return {j: x.numerator * (denom // x.denominator) for j, x in row.items()}
-    return {order[j]: x.numerator * (denom // x.denominator) for j, x in row.items()}
+        return {j: x.numerator * (denom // d) for (j, x), d in zip(row.items(), dens)}
+    return {order[j]: x.numerator * (denom // d) for (j, x), d in zip(row.items(), dens)}
 
 
 def sparse_rows(data) -> list[dict]:
@@ -188,8 +193,14 @@ def sparse_rows(data) -> list[dict]:
 
 def _combine(row: dict, x: int, prow: dict, pval: int) -> dict:
     """(pval*row - x*prow) divided by its content.  x and pval are the
-    entries of row and prow in a shared column, which therefore cancels."""
-    new = {j: pval * a for j, a in row.items()}
+    entries of row and prow in a shared column, which therefore cancels.
+    Dividing x and pval by their gcd first leaves the result the same and
+    often makes pval 1."""
+    g = gcd(x, pval)
+    if g > 1:
+        x //= g
+        pval //= g
+    new = dict(row) if pval == 1 else {j: pval * a for j, a in row.items()}
     for j, b in prow.items():
         t = new.get(j, 0) - x * b
         if t:
@@ -259,9 +270,28 @@ def sparse_rank(rows: Iterable[dict]) -> int:
     the elimination fills in less.
     """
     rows = list(rows)
-    count = Counter(j for row in rows for j in row)
-    order = {j: k for k, j in enumerate(sorted(count, key=lambda j: (count[j], j)))}
+    order = _sparsest_first(rows)
     return len(_echelon([_integral(row, order) for row in rows])[1])
+
+
+def integer_rank(rows: Iterable[dict]) -> int:
+    """sparse_rank of sparse rows with int entries, which need no clearing;
+    each is divided by its content."""
+    rows = list(rows)
+    order = _sparsest_first(rows)
+    primitive = []
+    for row in rows:
+        g = gcd(*row.values())
+        primitive.append({order[j]: x // g for j, x in row.items()} if g > 1 else
+                         {order[j]: x for j, x in row.items()})
+    return len(_echelon(primitive)[1])
+
+
+def _sparsest_first(rows: list[dict]) -> dict:
+    """{column: new index} numbering the columns of rows by their number of
+    nonzeros, ties by index."""
+    count = Counter(chain.from_iterable(rows))
+    return {j: k for k, j in enumerate(sorted(count, key=lambda j: (count[j], j)))}
 
 
 def sparse_transpose(cols: Sequence[dict]) -> dict:
