@@ -12,13 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 from math import comb, lcm
-from operator import add
 from typing import Optional
 
 from .linalg import (Mat, Q, column_pivots, integer_rank, sparse_kernel, sparse_rows, sparse_rref,
                      sparse_transpose)
 from .skew import (InternalConsistencyError, SkewElement, add_terms, coefficient_vector,
-                   graded_basis, mono_mul, over_common_denominator, over_denominator)
+                   graded_basis, mono_mul)
 
 
 class DgSpec:
@@ -34,13 +33,9 @@ class DgSpec:
         object.__setattr__(self, "m", m)
         # The lcm of the denominators of M: times it, every image is an int vector.
         object.__setattr__(self, "_den", lcm(*[x.denominator for row in m.data for x in row]))
-        # Row i of M as (e_j + e_j - e_i, M[i][j], -M[i][j]) over its nonzero
-        # entries: the exponent change that replaces x_i by x_j^2.
-        n = m.rows
-        object.__setattr__(self, "_support", [
-            [(tuple(2 * (k == j) - (k == i) for k in range(n)), x, -x)
-             for j, x in enumerate(row) if x]
-            for i, row in enumerate(m.data)])
+        # Row i of M as (j, M[i][j], -M[i][j]) over its nonzero entries.
+        object.__setattr__(self, "_support", [[(j, x, -x) for j, x in enumerate(row) if x]
+                                              for row in m.data])
         object.__setattr__(self, "_img_cache", {})  # degree -> images(degree)
         object.__setattr__(self, "_int_img_cache", {})  # degree -> int_images(degree)
         object.__setattr__(self, "_mono_images", {})  # monomial -> _image_of(monomial)
@@ -71,8 +66,11 @@ class DgSpec:
         prefix = 0
         for i, a_i in enumerate(mono):
             if a_i % 2:
-                for step, mij, minus in self._support[i]:
-                    yield tuple(map(add, mono, step)), (minus if prefix % 2 else mij)
+                for j, mij, minus in self._support[i]:
+                    new = list(mono)
+                    new[i] -= 1
+                    new[j] += 2
+                    yield tuple(new), (minus if prefix % 2 else mij)
             prefix += a_i
 
     def _image_of(self, mono) -> dict:
@@ -100,20 +98,19 @@ class DgSpec:
             raise ValueError("element has wrong variable count")
         if len(u.terms) == 1:
             # The image of one monomial has distinct monomials, so nothing is
-            # added up; a coefficient of +-1, the common case, needs no product.
+            # added up; a unit coefficient, the common case, needs no product.
             (mono, coeff), = u.terms.items()
             image = self._image_of(mono)
-            if coeff == 1:
-                return SkewElement._tidy(self.n, dict(image))
-            if coeff == -1:
-                return SkewElement._tidy(self.n, {key: -c for key, c in image.items()})
-            return SkewElement._tidy(self.n, {key: coeff * c for key, c in image.items()})
+            return SkewElement._tidy(self.n, dict(image) if coeff == 1 else
+                                     {key: coeff * c for key, c in image.items()})
         # The images of several monomials meet: add them up as ints over one
         # denominator and divide once per monomial that survives.
-        den, ints = over_common_denominator(u.terms)
+        den = lcm(*[c.denominator for c in u.terms.values()])
+        ints = [(mono, c.numerator * (den // c.denominator)) for mono, c in u.terms.items()]
         acc = add_terms({}, ((key, a * x) for mono, a in ints
                              for key, x in self._int_image_of(mono).items()))
-        return SkewElement._tidy(self.n, over_denominator(acc, den * self._den))
+        den *= self._den
+        return SkewElement._tidy(self.n, {key: Q(a, den) for key, a in acc.items()})
 
     # -- boundary matrices and cohomology -------------------------------------
 

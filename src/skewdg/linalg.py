@@ -76,15 +76,12 @@ class Mat:
     def from_sparse_columns(columns: Sequence[dict], height: int) -> "Mat":
         """The height x len(columns) matrix whose column j has the Fraction
         entries {row: value} of columns[j] and zeros elsewhere."""
-        width = len(columns)
-        flat = [Q(0)] * (height * width)
+        zero = Q(0)
+        data = [[zero] * len(columns) for _ in range(height)]
         for j, col in enumerate(columns):
             for i, x in col.items():
-                flat[i * width + j] = x
-        # zip over one iterator cuts the flat list into the rows, each built
-        # once as a tuple.
-        rows = zip(*[iter(flat)] * width) if width else [()] * height
-        return Mat._exact(rows, width)
+                data[i][j] = x
+        return Mat._exact(data, len(columns))
 
     def __getitem__(self, ij):
         i, j = ij
@@ -176,14 +173,10 @@ class Mat:
 # ---------------------------------------------------------------------------
 
 
-def _integral(row: dict, order: Optional[dict] = None) -> dict[int, int]:
-    """A sparse rational row times the lcm of its denominators, with each
-    column j renumbered to order[j] when an order is given."""
-    dens = [x.denominator for x in row.values()]
-    denom = lcm(*dens)
-    if order is None:
-        return {j: x.numerator * (denom // d) for (j, x), d in zip(row.items(), dens)}
-    return {order[j]: x.numerator * (denom // d) for (j, x), d in zip(row.items(), dens)}
+def _integral(row: dict) -> dict[int, int]:
+    """A sparse rational row times the lcm of its denominators."""
+    denom = lcm(*(x.denominator for x in row.values()))
+    return {j: x.numerator * (denom // x.denominator) for j, x in row.items()}
 
 
 def sparse_rows(data) -> list[dict]:
@@ -262,36 +255,28 @@ def _echelon(rows: list[dict[int, int]]):
 
 
 def sparse_rank(rows: Iterable[dict]) -> int:
-    """Rank of sparse rational rows {column: nonzero coefficient}.
-
-    The rank does not depend on the order of the columns, so they are
-    renumbered sparsest first (by number of nonzeros, ties by index) while
-    the denominators are cleared: the pivots then fall on short columns and
-    the elimination fills in less.
-    """
-    rows = list(rows)
-    order = _sparsest_first(rows)
-    return len(_echelon([_integral(row, order) for row in rows])[1])
+    """Rank of sparse rational rows {column: nonzero coefficient}: the
+    integer_rank of the rows cleared of denominators."""
+    return integer_rank(_integral(row) for row in rows)
 
 
 def integer_rank(rows: Iterable[dict]) -> int:
-    """sparse_rank of sparse rows with int entries, which need no clearing;
-    each is divided by its content."""
+    """Rank of sparse rows {column: nonzero int}.
+
+    The rank does not depend on the order of the columns, so they are
+    renumbered sparsest first (by number of nonzeros, ties by index), and
+    each row is divided by its content: the pivots then fall on short
+    columns and the elimination fills in less.
+    """
     rows = list(rows)
-    order = _sparsest_first(rows)
+    count = Counter(chain.from_iterable(rows))
+    order = {j: k for k, j in enumerate(sorted(count, key=lambda j: (count[j], j)))}
     primitive = []
     for row in rows:
         g = gcd(*row.values())
         primitive.append({order[j]: x // g for j, x in row.items()} if g > 1 else
                          {order[j]: x for j, x in row.items()})
     return len(_echelon(primitive)[1])
-
-
-def _sparsest_first(rows: list[dict]) -> dict:
-    """{column: new index} numbering the columns of rows by their number of
-    nonzeros, ties by index."""
-    count = Counter(chain.from_iterable(rows))
-    return {j: k for k, j in enumerate(sorted(count, key=lambda j: (count[j], j)))}
 
 
 def sparse_transpose(cols: Sequence[dict]) -> dict:

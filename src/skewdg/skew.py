@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from itertools import accumulate, combinations_with_replacement
-from math import comb, lcm
+from math import comb
 from operator import add, mul
 from typing import Sequence
 
@@ -56,7 +56,8 @@ def mono_mul(a: Monomial, b: Monomial) -> tuple[int, Monomial]:
     for ai, bi in zip(reversed(a), reversed(b)):
         crossings += suffix * bi
         suffix += ai
-    return (-1 if crossings % 2 else 1), tuple(map(add, a, b))
+    product = tuple(x + y for x, y in zip(a, b))
+    return (-1 if crossings % 2 else 1), product
 
 
 def add_terms(acc: dict, pairs) -> dict:
@@ -73,44 +74,6 @@ def add_terms(acc: dict, pairs) -> dict:
     return acc
 
 
-def over_common_denominator(terms: dict) -> tuple[int, list]:
-    """(L, pairs): L is the lcm of the denominators of the rational
-    coefficients in terms, and pairs lists (monomial, coefficient * L) with
-    int values, so that sums of such terms can run over ints."""
-    den = lcm(*[c.denominator for c in terms.values()])
-    return den, [(m, c.numerator * (den // c.denominator)) for m, c in terms.items()]
-
-
-def over_denominator(acc: dict, den: int) -> dict:
-    """The int terms of acc, each divided by den, as Fractions."""
-    return {m: Q(a, den) for m, a in acc.items()}
-
-
-def signed_products(left, right):
-    """The terms of the product of two sized iterables of (monomial,
-    coefficient) pairs, one per pair in the order of left, then right:
-    c1 c2 is formed only when neither is 1, and negated on an odd sign.
-
-    mono_mul's crossings sum_{i>j} m1[i] m2[j] are read as sum_j a[j] m2[j]
-    with a[j] = m1[j+1] + ... + m1[n-1], or as sum_i m1[i] b[i] with
-    b[i] = m2[0] + ... + m2[i-1]: the partial sums are formed once per
-    monomial of the shorter side."""
-    if len(left) <= len(right):
-        for m1, c1 in left:
-            unit = c1 == 1
-            after = tuple(accumulate(m1[:0:-1], initial=0))[::-1]
-            for m2, c2 in right:
-                c = c2 if unit else c1 if c2 == 1 else c1 * c2
-                yield tuple(map(add, m1, m2)), (-c if sum(map(mul, after, m2)) % 2 else c)
-        return
-    right = [(m2, c2, c2 == 1, tuple(accumulate(m2[:-1], initial=0))) for m2, c2 in right]
-    for m1, c1 in left:
-        unit = c1 == 1
-        for m2, c2, unit2, before in right:
-            c = c2 if unit else c1 if unit2 else c1 * c2
-            yield tuple(map(add, m1, m2)), (-c if sum(map(mul, m1, before)) % 2 else c)
-
-
 class SkewElement:
     """Element of O_{-1}(k^n): finite sum of coefficient * normal monomial."""
 
@@ -121,7 +84,7 @@ class SkewElement:
         if terms:
             for mono, coeff in (terms.items() if isinstance(terms, dict) else terms):
                 c = frac(coeff)
-                if not c:
+                if c == 0:
                     continue
                 if len(mono) != n:
                     raise ValueError("monomial arity mismatch")
@@ -195,32 +158,32 @@ class SkewElement:
         return SkewElement._tidy(self.n, {m: -c for m, c in self.terms.items()})
 
     def scale(self, c) -> "SkewElement":
-        # +-1, the common case, is recognised before any Fraction is made.
-        if c == 1:
-            return SkewElement._tidy(self.n, dict(self.terms))
-        if c == -1:
-            return -self
         c = frac(c)
         if not c:
             return SkewElement.zero(self.n)
+        if c == -1:
+            return -self
+        if c == 1:
+            return SkewElement._tidy(self.n, dict(self.terms))
         return SkewElement._tidy(self.n, {m: c * x for m, x in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, SkewElement):
             return self.scale(other)
         self._check(other)
-        if not self.terms or not other.terms:
-            return SkewElement._tidy(self.n, {})
-        if len(self.terms) < 2 or len(other.terms) < 2:
-            # One side is a single term, so the products are distinct monomials.
-            return SkewElement._tidy(self.n, dict(signed_products(self.terms.items(),
-                                                                  other.terms.items())))
-        # Products of different pairs can meet: add them up as ints over the
-        # product of the two common denominators and divide once per monomial.
-        den1, left = over_common_denominator(self.terms)
-        den2, right = over_common_denominator(other.terms)
-        return SkewElement._tidy(self.n, over_denominator(
-            add_terms({}, signed_products(left, right)), den1 * den2))
+        return SkewElement._tidy(self.n, add_terms({}, self._products(other)))
+
+    def _products(self, other: "SkewElement"):
+        """The terms of the product, one per pair of terms: c1 c2 is formed
+        only when neither is 1, and negated on an odd sign.  mono_mul's
+        crossings sum_{i>j} m1[i] m2[j] are read as sum_j a[j] m2[j], with
+        a[j] = m1[j+1] + ... + m1[n-1] formed once per term of self."""
+        for m1, c1 in self.terms.items():
+            unit = c1 == 1
+            after = tuple(accumulate(m1[:0:-1], initial=0))[::-1]
+            for m2, c2 in other.terms.items():
+                c = c2 if unit else c1 if c2 == 1 else c1 * c2
+                yield tuple(map(add, m1, m2)), (-c if sum(map(mul, after, m2)) % 2 else c)
 
     def __rmul__(self, other):
         return self.scale(other)
