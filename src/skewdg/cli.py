@@ -105,6 +105,8 @@ def cmd_validate(args) -> int:
     max_deg = nonnegative(args.max_degree, "--max-degree")
     # d^2 = 0 on A^d: each monomial's image, mapped by d again, vanishes.  The
     # images are the rows of the transposed maps, so their product is (d d)^T.
+    # They are ints, d times the lcm of M's denominators: both checks are
+    # homogeneous in d, so they read the ints as they are.
     square_zero = not any(any(sparse_matmul(spec.images(d), spec.images(d + 1)))
                           for d in range(max_deg + 1))
     # d(ab) = d(a) b + (-1)^|a| a d(b) on the monomials of degrees 1 and 2,

@@ -23,23 +23,32 @@ from .skew import (InternalConsistencyError, SkewElement, add_terms, coefficient
 class DgSpec:
     """The DG algebra on O_{-1}(k^n) determined by an n x n matrix."""
 
-    __slots__ = ("n", "m", "_den", "_support", "_img_cache", "_int_img_cache", "_mono_images",
-                 "_int_images")
+    __slots__ = ("n", "m", "_den", "_support", "_values", "_img_cache", "_mono_images")
 
     def __init__(self, m: Mat):
         if m.rows != m.cols:
             raise ValueError("defining matrix must be square")
         object.__setattr__(self, "n", m.rows)
         object.__setattr__(self, "m", m)
-        # The lcm of the denominators of M: times it, every image is an int vector.
-        object.__setattr__(self, "_den", lcm(*[x.denominator for row in m.data for x in row]))
-        # Row i of M as (j, M[i][j], -M[i][j]) over its nonzero entries.
-        object.__setattr__(self, "_support", [[(j, x, -x) for j, x in enumerate(row) if x]
-                                              for row in m.data])
+        # The lcm of the denominators of M: the images are kept as ints times it.
+        den = lcm(*[x.denominator for row in m.data for x in row])
+        object.__setattr__(self, "_den", den)
+        # Row i of _den M as (j, k, -k) over its nonzero entries k = _den M[i][j],
+        # and the table {+-k: +-M[i][j]} that reads an image coefficient as a Fraction.
+        support, values = [], {}
+        for row in m.data:
+            ints = []
+            for j, x in enumerate(row):
+                if x:
+                    k = x.numerator * (den // x.denominator)
+                    ints.append((j, k, -k))
+                    values[k] = x
+            support.append(ints)
+        values.update([(-k, -x) for k, x in values.items()])
+        object.__setattr__(self, "_support", support)
+        object.__setattr__(self, "_values", values)
         object.__setattr__(self, "_img_cache", {})  # degree -> images(degree)
-        object.__setattr__(self, "_int_img_cache", {})  # degree -> int_images(degree)
         object.__setattr__(self, "_mono_images", {})  # monomial -> _image_of(monomial)
-        object.__setattr__(self, "_int_images", {})  # monomial -> _int_image_of(monomial)
 
     def __setattr__(self, name, value):
         raise AttributeError("DgSpec is immutable")
@@ -54,14 +63,14 @@ class DgSpec:
 
     def _monomial_image(self, mono):
         """The terms (monomial, coefficient) of the differential of a normal
-        monomial.
+        monomial, each coefficient an int: _den times the Fraction one.
 
         The letters are differentiated in place with alternating signs; a
         letter with even exponent contributes nothing because the signs
         cancel in pairs, and x_j^2 is central so the replacement lands back
         in normal form directly.  The monomials are distinct, because
         mono / x_i * x_j^2 determines i and j, so each coefficient is
-        +-M[i][j].
+        +-_den M[i][j].
         """
         prefix = 0
         for i, a_i in enumerate(mono):
@@ -74,22 +83,13 @@ class DgSpec:
             prefix += a_i
 
     def _image_of(self, mono) -> dict:
-        """The terms of _monomial_image(mono) as {monomial: coefficient},
-        built once per monomial.  The dict is shared by every later call, so
-        no caller may change it or hand it out."""
+        """The terms of _monomial_image(mono) as {monomial: int coefficient},
+        _den times d(mono), built once per monomial.  The dict is shared by
+        every later call, so no caller may change it or hand it out; _values
+        reads its coefficients as Fractions."""
         image = self._mono_images.get(mono)
         if image is None:
             image = self._mono_images[mono] = dict(self._monomial_image(mono))
-        return image
-
-    def _int_image_of(self, mono) -> dict:
-        """_image_of(mono) times _den, with int coefficients, built once per
-        monomial and shared like it."""
-        image = self._int_images.get(mono)
-        if image is None:
-            den = self._den
-            image = self._int_images[mono] = {key: c.numerator * (den // c.denominator)
-                                              for key, c in self._image_of(mono).items()}
         return image
 
     def differential(self, u: SkewElement) -> SkewElement:
@@ -100,24 +100,27 @@ class DgSpec:
             # The image of one monomial has distinct monomials, so nothing is
             # added up; a unit coefficient, the common case, needs no product.
             (mono, coeff), = u.terms.items()
-            image = self._image_of(mono)
-            return SkewElement._tidy(self.n, dict(image) if coeff == 1 else
-                                     {key: coeff * c for key, c in image.items()})
+            image, values = self._image_of(mono), self._values
+            return SkewElement._tidy(self.n, {key: values[c] for key, c in image.items()}
+                                     if coeff == 1 else
+                                     {key: coeff * values[c] for key, c in image.items()})
         # The images of several monomials meet: add them up as ints over one
         # denominator and divide once per monomial that survives.
         den = lcm(*[c.denominator for c in u.terms.values()])
         ints = [(mono, c.numerator * (den // c.denominator)) for mono, c in u.terms.items()]
         acc = add_terms({}, ((key, a * x) for mono, a in ints
-                             for key, x in self._int_image_of(mono).items()))
+                             for key, x in self._image_of(mono).items()))
         den *= self._den
         return SkewElement._tidy(self.n, {key: Q(a, den) for key, a in acc.items()})
 
     # -- boundary matrices and cohomology -------------------------------------
 
     def images(self, d: int) -> list[dict]:
-        """The differential A^d -> A^{d+1} as sparse columns: for each
-        monomial of graded_basis(n, d), its image {index in
-        graded_basis(n, d+1): nonzero coefficient}."""
+        """The differential A^d -> A^{d+1} times _den as sparse int columns:
+        for each monomial of graded_basis(n, d), _den times its image {index
+        in graded_basis(n, d+1): nonzero int}.  A positive scale changes no
+        rank, kernel or pivot, so callers that need only the span read the
+        ints as they are; _values reads an entry as a Fraction."""
         if d < 0:
             raise ValueError("negative degree")
         cached = self._img_cache.get(d)
@@ -128,17 +131,6 @@ class DgSpec:
             self._img_cache[d] = cached
         return cached
 
-    def int_images(self, d: int) -> list[dict]:
-        """images(d) times _den, the lcm of the denominators of M: the same
-        columns with int entries, for callers that need only their span."""
-        cached = self._int_img_cache.get(d)
-        if cached is None:
-            den = self._den
-            cached = [{r: c.numerator * (den // c.denominator) for r, c in image.items()}
-                      for image in self.images(d)]
-            self._int_img_cache[d] = cached
-        return cached
-
     def boundary_matrix(self, d: int) -> Mat:
         """Matrix of the differential A^d -> A^{d+1}.
 
@@ -146,7 +138,9 @@ class DgSpec:
         yields coefficients in graded_basis(n, d+1) order.  For d = 1 the
         nonzero block is M^T acting on the x_j^2 coordinates.
         """
-        return Mat.from_sparse_columns(self.images(d), len(graded_basis(self.n, d + 1)))
+        values = self._values
+        columns = [{r: values[c] for r, c in col.items()} for col in self.images(d)]
+        return Mat.from_sparse_columns(columns, len(graded_basis(self.n, d + 1)))
 
     def cohomology_dims(self, dmax: int) -> list[int]:
         """dim H^d(A) for 0 <= d <= dmax: A is the complex F on the one
@@ -189,44 +183,41 @@ def _shift_table(n: int, degree: int) -> list[dict]:
     return _SHIFTS[n, degree]
 
 
-def _complex_columns(spec: DgSpec, rows, degree: int, integral: bool = False) -> list[dict]:
-    """d_F : F^degree -> F^{degree+1} as sparse columns.
+def _grid_scale(spec: DgSpec, rows) -> int:
+    """The int that _complex_columns multiplies d_F by: _den times the lcm of
+    the denominators of the grid."""
+    return spec._den * lcm(*[c.denominator for row in rows for e in row for c in e.terms.values()])
+
+
+def _complex_columns(spec: DgSpec, rows, degree: int) -> list[dict]:
+    """d_F : F^degree -> F^{degree+1} times _grid_scale(spec, rows), as
+    sparse int columns.  One positive scale changes no rank, kernel or
+    pivot; only a caller that hands out the columns themselves divides by it.
 
     Column j*|src| + s is the image of (monomial s) e_j: its e_j block is the
     image of the monomial under d_A, and its e_l block for l < j is
     (-1)^degree times the monomial times the linear d[j][l], one shift-table
     lookup per term.
 
-    With integral, every column is multiplied by one positive int, the lcm
-    of the denominators of M and of the grid, so that its entries are ints:
-    the span, and so the rank, stays the same.
-
-    A column of the block e_0 gets no lower terms, so it is the cached image
-    itself, which no caller may change.
+    When the grid has no denominators, a column of the block e_0 gets no
+    lower terms, so it is the cached image itself, which no caller may change.
     """
     ndst = comb(spec.n + degree, spec.n - 1)  # dim A^{degree+1}
-    if integral:
-        grid_den = lcm(*[c.denominator for row in rows for e in row for c in e.terms.values()])
-        images = spec.int_images(degree)
-        if grid_den > 1:
-            images = [{r: grid_den * x for r, x in image.items()} for image in images]
-        scale = grid_den * spec._den
-    else:
-        images = spec.images(degree)
+    scale = _grid_scale(spec, rows)
+    grid_den = scale // spec._den
     cols = []
     for j, row in enumerate(rows):
         lower = []
         for l in range(j):
-            terms = row[l].terms.items()
-            if integral:
-                terms = [(g, c.numerator * (scale // c.denominator)) for g, c in terms]
+            terms = [(g, c.numerator * (scale // c.denominator)) for g, c in row[l].terms.items()]
             if terms:
                 # Every sign is +1 in degree 0 (s = 1), so no negative is formed there.
                 lower.append((l * ndst, [(g, c, -c if degree else c) for g, c in terms]))
         # Only grid entries read the shift table, so A itself (rows = [[]]) builds none.
         shifts = _shift_table(spec.n, degree) if lower else repeat(None)
-        for shift, image in zip(shifts, images):
-            col = {j * ndst + r: c for r, c in image.items()} if j else image
+        for shift, image in zip(shifts, spec.images(degree)):
+            col = ({j * ndst + r: grid_den * c for r, c in image.items()} if j or grid_den > 1
+                   else image)
             for base, terms in lower:
                 for g, c, minus_c in terms:
                     sign, t = shift[g]
@@ -238,8 +229,7 @@ def _complex_columns(spec: DgSpec, rows, degree: int, integral: bool = False) ->
 def complex_cohomology_dims(spec: DgSpec, rows, dmax: int) -> list[int]:
     """dim H^i of the complex F for 0 <= i <= dmax - 1."""
     # rank(B^T) = rank(B): each column of d_F is one row of its transpose.
-    ranks = [0] + [integer_rank(_complex_columns(spec, rows, d, integral=True))
-                   for d in range(dmax)]
+    ranks = [0] + [integer_rank(_complex_columns(spec, rows, d)) for d in range(dmax)]
     return [len(rows) * comb(spec.n + i - 1, spec.n - 1) - ranks[i + 1] - ranks[i]
             for i in range(dmax)]
 
@@ -249,6 +239,8 @@ def complex_classes(spec: DgSpec, rows, degree: int):
     [images of F^{degree-1} | kernel of d_F on F^degree].  The cocycles
     represent a basis of H^degree(F), and the coboundaries are a basis of
     B^degree.  Each is a list of m SkewElements, its coefficients on e_l.
+    The cocycles are kernel vectors, the same for d_F and for the scaled int
+    columns; the coboundaries are such columns, divided by the scale.
 
     The cocycles come as a list and the coboundaries as an iterator that
     builds each element when it is read: the resolution builder reads only
@@ -271,7 +263,9 @@ def complex_classes(spec: DgSpec, rows, degree: int):
             parts.setdefault(l, {})[basis[s]] = x
         return [SkewElement(spec.n, parts[l]) if l in parts else zero for l in range(len(rows))]
 
-    return [element(cols[c]) for c in pivots[rank:]], (element(cols[c]) for c in pivots[:rank])
+    scale = _grid_scale(spec, rows)
+    return ([element(cols[c]) for c in pivots[rank:]],
+            (element({k: Q(x, scale) for k, x in cols[c].items()}) for c in pivots[:rank]))
 
 
 def koszul_dims(n: int, rank: int, dmax: int) -> list[int]:
@@ -311,9 +305,10 @@ def cup_kernel(spec: DgSpec) -> tuple[list[tuple], int]:
     the ordered pairs (i, j) of the H^1 basis of complex_classes, row-major.
     The relations are the reduced-echelon basis of the kernel, each 1 at its
     pivot, so they depend on the kernel alone and not on how it was found.
-    H^1 comes from complex_classes; the basis of B^2 is the columns of the
-    cached images(1) at their pivots, the coboundaries complex_classes picks,
-    and dim H^2 = dim A^2 - dim B^2 - rank(d on A^2).
+    H^1 comes from complex_classes; the basis of B^2 is the int columns of
+    the cached images(1) at their pivots, the coboundaries complex_classes
+    picks times _den, and dim H^2 = dim A^2 - dim B^2 - rank(d on A^2).
+    Scaling B^2 changes only the tails of the kernel vectors, not their heads.
     """
     if spec.n != 3:
         raise ValueError("cup products are analyzed for n = 3 only")
@@ -321,7 +316,7 @@ def cup_kernel(spec: DgSpec) -> tuple[list[tuple], int]:
     images = spec.images(1)
     bound = [images[c] for c in column_pivots(images)]
     basis2 = graded_basis(3, 2)
-    h2_dim = len(basis2) - len(bound) - integer_rank(spec.int_images(2))
+    h2_dim = len(basis2) - len(bound) - integer_rank(spec.images(2))
     heads = len(h1) ** 2
     cols = sparse_rows([coefficient_vector(u * v, 2, basis2) for u in h1 for v in h1]) + bound
     # B^2 is a basis, so a kernel vector of [products | B^2] is fixed by its

@@ -63,18 +63,19 @@ def complex_map_rows(spec, rows, degree):
 
 
 def ref_complex_columns(spec, rows, degree):
-    """d_F : F^degree -> F^{degree+1} as sparse columns {target index: entry},
-    column j*|src| + s for (monomial s) e_j, each term of d[j][l] multiplied
-    by mono_mul."""
+    """d_F : F^degree -> F^{degree+1} as sparse Fraction columns {target
+    index: entry}, column j*|src| + s for (monomial s) e_j: the d_A block
+    read off boundary_matrix, each term of d[j][l] multiplied by mono_mul."""
     n = spec.n
     src = graded_basis(n, degree)
     dst_index = {mono: i for i, mono in enumerate(graded_basis(n, degree + 1))}
     ndst = len(dst_index)
     sign = -1 if degree % 2 else 1
+    bnd = spec.boundary_matrix(degree)
     cols = []
     for j, row in enumerate(rows):
-        for mono, image in zip(src, spec.images(degree)):
-            col = {j * ndst + r: c for r, c in image.items()}
+        for s, mono in enumerate(src):
+            col = {j * ndst + r: c for r, c in enumerate(bnd.column(s)) if c}
             for l in range(j):
                 for mo, c in row[l].terms.items():
                     mono_sign, prod = mono_mul(mono, mo)

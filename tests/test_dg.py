@@ -1,6 +1,11 @@
 """The differential, boundary matrices, cohomology and the CY probe."""
 
+import contextlib
+import io
+import json
+import os
 import random
+import tempfile
 from fractions import Fraction as Q
 
 import pytest
@@ -9,8 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_linalg import ref_column_pivots, ref_rank, ref_rref
 
+from skewdg.cli import main
 from skewdg.dg import DgSpec, InternalConsistencyError, cup_kernel, cy_probe, koszul_dims
 from skewdg.linalg import Mat, kernel_basis
+from skewdg.resolution import SemifreeResolution, eilenberg_moore, verify_resolution
 from skewdg.skew import SkewElement, coefficient_vector, graded_basis
 
 
@@ -90,8 +97,9 @@ def test_leibniz_exact():
 
 
 def summed_images(spec, u):
-    """d(u) summed term by term over the uncached _monomial_image."""
-    return SkewElement(spec.n, [(key, coeff * c) for mono, coeff in u.terms.items()
+    """d(u) summed term by term over the uncached _monomial_image, whose int
+    coefficients are _den times those of d."""
+    return SkewElement(spec.n, [(key, coeff * Q(c, spec._den)) for mono, coeff in u.terms.items()
                                 for key, c in spec._monomial_image(mono)])
 
 
@@ -231,8 +239,8 @@ def _product_matrix(a, b, n):
 
 
 @st.composite
-def low_rank_matrices(draw):
-    n = draw(st.integers(1, 5))
+def low_rank_matrices(draw, max_n=5):
+    n = draw(st.integers(1, max_n))
     r = draw(st.integers(0, n))
     a = draw(st.lists(st.lists(RATIONALS, min_size=r, max_size=r), min_size=n, max_size=n))
     b = draw(st.lists(st.lists(RATIONALS, min_size=n, max_size=n), min_size=r, max_size=r))
@@ -248,6 +256,39 @@ def test_koszul_dims_match_brute_force(case):
     assert m.rank() <= r
     dmax = KOSZUL_DEGREES[m.rows]
     assert DgSpec(m).cohomology_dims(dmax) == koszul_dims(m.rows, m.rank(), dmax), m
+
+
+def validate_flags(m):
+    """The exit code and the two flags of `skewdg validate` on m."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.json")
+        with open(path, "w") as fh:
+            json.dump({"n": m.rows, "matrix": [[str(x) for x in row] for row in m.data]}, fh)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["validate", path, "--max-degree", "4"])
+    record = json.loads(out.getvalue())
+    return code, record["square_zero"], record["leibniz_on_low_degrees"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(low_rank_matrices(max_n=4), RATIONALS.filter(bool))
+def test_answers_do_not_change_when_m_is_scaled(case, c):
+    # x_i -> c x_i is an isomorphism A(M) -> A(cM).  The images of d are
+    # kept as ints times the lcm of the denominators of M, which differs
+    # between M and cM; every answer read from them must not.
+    m, _ = case
+    answers = []
+    for mat in (m, Mat([[c * x for x in row] for row in m.data])):
+        spec = DgSpec(mat)
+        grid, complete = eilenberg_moore(spec)
+        check = verify_resolution(spec, SemifreeResolution(spec, grid, None), dmax=spec.n + 2)
+        answer = [spec.cohomology_dims(5), len(grid), complete, check.passed, validate_flags(mat)]
+        if spec.n == 3:
+            answer.append(cup_kernel(spec))
+        answers.append(answer)
+    assert answers[0] == answers[1], (m, c)
+    assert answers[0][2:] == [True, True, (0, True, True)] + answers[0][5:], m
 
 
 def test_koszul_dims_every_rank():

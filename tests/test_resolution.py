@@ -4,17 +4,18 @@ import os
 import random
 import sys
 from fractions import Fraction as Q
+from math import lcm
 
 from conftest import (NOT_CY, SUBCASE_BATTERY, SUBCASE_EXT, SUBCASE_SIZE, fresh_minimal_size,
                       product_rule_size)
 from reference_finalg import ref_matrix_algebra
-from reference_linalg import ref_rank
+from reference_linalg import ref_column_pivots, ref_rank
 from reference_resolution import (commutant_matrices, complex_map_rows, ref_complex_columns,
                                   ref_h1_representatives, ref_square_zero_failures,
                                   reference_resolution)
 from skewdg import dg as dg_module
 from skewdg import resolution as resolution_module
-from skewdg.dg import DgSpec, complex_cohomology_dims
+from skewdg.dg import DgSpec, complex_classes, complex_cohomology_dims
 from skewdg.finalg import FinAlg, frobenius, radical_filtration, recognize_truncated, socle_dim
 from skewdg.linalg import Mat
 from skewdg.qpl import QplMatrix, chi, iso_solve
@@ -122,25 +123,59 @@ def test_mutated_resolution_fails_square_zero():
 def test_square_zero_failures_match_full_products():
     # verify_resolution skips the products d[j][k] d[k][l] with a zero
     # factor; the reference forms every product.  One entry at a time is
-    # perturbed (below the diagonal by x1, nonzero entries also cleared, and
-    # once above the diagonal); both must name the same failures.
-    res = build_resolution(SIX_REPRESENTATIVES["M2"])
-    spec = res.spec
-    zero, x1 = SkewElement.zero(3), SkewElement.variable(1, 3)
-    perturbed = [(j, l, res.d[j][l] + x1) for j in range(res.size) for l in range(j)]
-    perturbed += [(j, l, zero) for j in range(res.size) for l in range(j)
-                  if not res.d[j][l].is_zero()]
-    perturbed.append((0, 1, SkewElement.variable(2, 3)))
-    failing = 0
-    for j, l, entry in [(0, 0, zero)] + perturbed:
-        rows = [row[:] for row in res.d]
-        rows[j][l] = entry
-        check = verify_resolution(spec, SemifreeResolution(spec, rows, res.subcase), dmax=1)
-        want = ref_square_zero_failures(spec, rows)
-        assert [f for f in check.failures if f[0] == "square-zero"] == want, (j, l)
-        assert check.square_zero == (not want)
-        failing += bool(want)
-    assert failing == len(perturbed)
+    # perturbed (below the diagonal by one variable, nonzero entries also
+    # cleared, and once above the diagonal); both must name the same
+    # failures.  M1_image has denominators, and d(x3) = x1^2/2 + x2^2/18
+    # there, so its failures read the int images of d back as Fractions.
+    for m, var in [(SIX_REPRESENTATIVES["M2"], 1), (Mat(GOLDEN_MATRICES["M1_image"]), 3)]:
+        res = build_resolution(m)
+        spec = res.spec
+        zero, x = SkewElement.zero(3), SkewElement.variable(var, 3)
+        perturbed = [(j, l, res.d[j][l] + x) for j in range(res.size) for l in range(j)]
+        perturbed += [(j, l, zero) for j in range(res.size) for l in range(j)
+                      if not res.d[j][l].is_zero()]
+        perturbed.append((0, 1, SkewElement.variable(2, 3)))
+        failing = 0
+        for j, l, entry in [(0, 0, zero)] + perturbed:
+            rows = [row[:] for row in res.d]
+            rows[j][l] = entry
+            check = verify_resolution(spec, SemifreeResolution(spec, rows, res.subcase), dmax=1)
+            want = ref_square_zero_failures(spec, rows)
+            assert [f for f in check.failures if f[0] == "square-zero"] == want, (m, j, l)
+            assert check.square_zero == (not want)
+            failing += bool(want)
+        assert failing == len(perturbed), m
+
+
+def test_coboundaries_on_a_fractional_grid_match_dense_columns():
+    # complex_classes ranks d_F as int columns, d_F times _den and the lcm of
+    # the denominators of the grid, and divides the coboundaries it returns
+    # by that whole scale.  The eilenberg_moore grid of M1_image has
+    # denominators, so the scale is not _den.  The reference takes the
+    # columns of the dense Fraction map of d_F on F^(degree-1) at its pivots.
+    spec = DgSpec(Mat(GOLDEN_MATRICES["M1_image"]))
+    grid, complete = eilenberg_moore(spec)
+    assert complete and spec._den > 1
+    assert any(c.denominator > 1 for row in grid for e in row for c in e.terms.values())
+    n, size = spec.n, len(grid)
+    for degree in (1, 2):
+        basis = graded_basis(n, degree)
+
+        def element(vec):
+            return [SkewElement(n, {mono: vec[l * len(basis) + s] for s, mono in enumerate(basis)})
+                    for l in range(size)]
+
+        dense = complex_map_rows(spec, grid, degree - 1)
+        cols = [[row[c] for row in dense] for c in range(len(dense[0]))]
+        cocycles, coboundaries = complex_classes(spec, grid, degree)
+        coboundaries = list(coboundaries)
+        assert coboundaries, degree
+        assert coboundaries == [element(cols[p]) for p in ref_column_pivots(cols, len(dense))]
+        # The cocycles are kernel vectors of d_F on F^degree.
+        d_next = complex_map_rows(spec, grid, degree)
+        for cocycle in cocycles:
+            vec = [part.terms.get(mono, 0) for part in cocycle for mono in basis]
+            assert all(sum(x * y for x, y in zip(row, vec)) == 0 for row in d_next), degree
 
 
 def test_h1_representatives_match_dense_kernel(monkeypatch):
@@ -290,10 +325,19 @@ def test_complex_columns_match_per_term_reference(monkeypatch):
                            for _ in range(n)]))
         cases.append(("random n = %d" % n, SemifreeResolution(spec, grid, None)))
     assert len({res.spec.n for _, res in cases}) == 4
+    # The package's columns are ints: d_F times the lcm of the denominators
+    # of M times the lcm of those of the grid.
+    scales = {name: lcm(*[x.denominator for row in res.spec.m.data for x in row])
+              * lcm(*[c.denominator for row in res.d for e in row for c in e.terms.values()])
+              for name, res in cases}
+    assert any(scale > 1 for scale in scales.values())
     for degree in range(7):
         for name, res in cases:
-            assert (dg_module._complex_columns(res.spec, res.d, degree)
-                    == ref_complex_columns(res.spec, res.d, degree)), (name, degree)
+            want = [{r: scales[name] * c for r, c in col.items()}
+                    for col in ref_complex_columns(res.spec, res.d, degree)]
+            got = dg_module._complex_columns(res.spec, res.d, degree)
+            assert got == want and all(type(c) is int for col in got for c in col.values()), \
+                (name, degree)
     assert {key[0] for key in dg_module._SHIFTS} == {2, 3, 4, 5}
 
 
