@@ -10,10 +10,11 @@ fans out by the parameters (m11, m12, m13, l1, l2) of the row structure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .dg import InternalConsistencyError
-from .linalg import Mat, Q, kernel_basis, solve_linear, sparse_rref
+from .linalg import Mat, Q, _integral, solve_linear, sparse_rref
 from .qpl import QplMatrix, chi
 
 RANK3 = "Rank3"
@@ -55,9 +56,20 @@ def _vec_sq(u: Sequence) -> tuple:
     return tuple(a * a for a in u)
 
 
+def _null_vector(rows) -> tuple:
+    """The kernel of a rank-2 3x3 matrix with these rows, as kernel_basis
+    gives it: the cross product of two independent rows cleared of
+    denominators, divided by its first nonzero coordinate."""
+    for a, b in combinations([_integral(dict(enumerate(row))) for row in rows], 2):
+        cross = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+        lead = next((x for x in cross if x), 0)
+        if lead:
+            return tuple(Q(x, lead) for x in cross)
+
+
 def _classify_rank2(m: Mat, q_shift=None) -> CaseLabel:
-    s = kernel_basis(m)[0]
-    t = kernel_basis(m.T)[0]
+    s = _null_vector(m.data)
+    t = _null_vector(zip(*m.data))
     pairing = sum(si * ti * ti for si, ti in zip(s, t))
     if pairing != 0:
         return CaseLabel(2, RANK2_NONDEG, coh_case=2, data={"s": s, "t": t})

@@ -16,8 +16,7 @@ from typing import Optional
 
 from .linalg import (Mat, Q, column_pivots, integer_rank, sparse_kernel, sparse_rows, sparse_rref,
                      sparse_transpose)
-from .skew import (InternalConsistencyError, SkewElement, add_terms, coefficient_vector,
-                   graded_basis, mono_mul)
+from .skew import InternalConsistencyError, SkewElement, add_terms, graded_basis, mono_mul
 
 
 class DgSpec:
@@ -298,33 +297,47 @@ class CohomologyReport:
 # -- cup products on H^1 and the Calabi-Yau probe ------------------------------
 
 
+def _cup_relations(spec: DgSpec) -> tuple[list[tuple], int]:
+    """The reduced-echelon basis of the kernel of H^1 (x) H^1 -> H^2 for
+    n = 3, and dim H^1: three eliminations.
+
+    d(1) = 0, so H^1 is the kernel of d on A^1, each class a vector on
+    x_1, x_2, x_3.  The product of two classes is an int column on A^2,
+    read off the shift table with its (-1)^1 sign undone, for the classes
+    times the lcm of their denominators; B^2 is spanned by all the int
+    columns of images(1).  The heads of the kernel vectors of [products |
+    B^2] span the relations once multiplied back by those scales."""
+    h1 = sparse_kernel(sparse_transpose(spec.images(1)).values(), 3)
+    ints = []
+    for v in h1:
+        den = lcm(*[x.denominator for x in v])
+        ints.append((den, [x.numerator * (den // x.denominator) for x in v]))
+    shifts = _shift_table(3, 1)  # each row keyed by x_1, x_2, x_3 in that order
+    products = [add_terms({}, ((t, -sign * a * b) for s, a in enumerate(u) if a
+                               for (sign, t), b in zip(shifts[s].values(), v) if b))
+                for _, u in ints for _, v in ints]
+    scales = [du * dv for du, _ in ints for dv, _ in ints]
+    cols = products + spec.images(1)
+    kernel = sparse_kernel(sparse_transpose(cols).values(), len(cols))
+    red = sparse_rref({j: x * w for j, (x, w) in enumerate(zip(v, scales)) if x} for v in kernel)[0]
+    return [tuple(row.get(j, Q(0)) for j in range(len(products))) for row in red], len(h1)
+
+
 def cup_kernel(spec: DgSpec) -> tuple[list[tuple], int]:
     """Kernel of the multiplication H^1 (x) H^1 -> H^2 for n = 3.
 
     Returns (relations, new_h2_generators).  Relation coordinates live on
     the ordered pairs (i, j) of the H^1 basis of complex_classes, row-major.
     The relations are the reduced-echelon basis of the kernel, each 1 at its
-    pivot, so they depend on the kernel alone and not on how it was found.
-    H^1 comes from complex_classes; the basis of B^2 is the int columns of
-    the cached images(1) at their pivots, the coboundaries complex_classes
-    picks times _den, and dim H^2 = dim A^2 - dim B^2 - rank(d on A^2).
-    Scaling B^2 changes only the tails of the kernel vectors, not their heads.
+    pivot, so they depend on the kernel alone and not on how it was found
+    (_cup_relations).  dim B^2 = 3 - dim H^1, and dim H^2 = dim A^2 -
+    dim B^2 - rank(d on A^2).
     """
     if spec.n != 3:
         raise ValueError("cup products are analyzed for n = 3 only")
-    h1 = [v[0] for v in complex_classes(spec, [[]], 1)[0]]
-    images = spec.images(1)
-    bound = [images[c] for c in column_pivots(images)]
-    basis2 = graded_basis(3, 2)
-    h2_dim = len(basis2) - len(bound) - integer_rank(spec.images(2))
-    heads = len(h1) ** 2
-    cols = sparse_rows([coefficient_vector(u * v, 2, basis2) for u in h1 for v in h1]) + bound
-    # B^2 is a basis, so a kernel vector of [products | B^2] is fixed by its
-    # head: the heads are a basis of the relations.
-    kernel = sparse_kernel(sparse_transpose(cols).values(), len(cols))
-    red = sparse_rref(sparse_rows(v[:heads] for v in kernel))[0]
-    relations = [tuple(row.get(j, Q(0)) for j in range(heads)) for row in red]
-    return relations, h2_dim - (heads - len(relations))
+    relations, h1_dim = _cup_relations(spec)
+    h2_dim = 6 - (3 - h1_dim) - integer_rank(spec.images(2))
+    return relations, h2_dim - (h1_dim ** 2 - len(relations))
 
 
 @dataclass
@@ -357,7 +370,7 @@ def cy_probe(spec: DgSpec) -> CyProbeVerdict:
         return CyProbeVerdict(True, "trivial-cohomology")
     if h1_dim == 1:
         return CyProbeVerdict(True, "rank-2")
-    relations, _extra = cup_kernel(spec)
+    relations = _cup_relations(spec)[0]
     if len(relations) == 0:
         raise InternalConsistencyError("rank-1 matrix with injective cup product")
     if len(relations) >= 2:

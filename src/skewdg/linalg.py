@@ -174,7 +174,10 @@ class Mat:
 
 
 def _integral(row: dict) -> dict[int, int]:
-    """A sparse rational row times the lcm of its denominators."""
+    """A sparse rational row times the lcm of its denominators; a row of
+    ints is returned as it is, since _echelon does not modify its input."""
+    if set(map(type, row.values())) == {int}:
+        return row
     denom = lcm(*(x.denominator for x in row.values()))
     return {j: x.numerator * (denom // x.denominator) for j, x in row.items()}
 
@@ -310,14 +313,10 @@ def column_pivots(cols: Sequence[dict]) -> list[int]:
     return _echelon([_integral(row) for row in sparse_transpose(cols).values()])[1]
 
 
-def sparse_rref(rows: Iterable[dict]) -> tuple[list[dict], list[int]]:
-    """Reduced row echelon form of sparse rational rows {column: nonzero
-    coefficient}: the nonzero reduced rows, each 1 at its pivot, and the
-    pivot columns.
-
-    Sparse integer back-substitution on the echelon clears each pivot column
-    above its pivot; one division per nonzero entry then makes the pivots 1.
-    """
+def _reduced(rows: Iterable[dict]) -> tuple[list[dict], list[int]]:
+    """The echelon of sparse rational rows cleared of denominators, with
+    each pivot column cleared above its pivot by sparse integer
+    back-substitution: int rows, each a multiple of its reduced row."""
     red, pivots = _echelon([_integral(row) for row in rows])
     for k in range(len(pivots) - 1, 0, -1):
         prow, p = red[k], pivots[k]
@@ -325,6 +324,16 @@ def sparse_rref(rows: Iterable[dict]) -> tuple[list[dict], list[int]]:
             x = red[i].get(p)
             if x:
                 red[i] = _combine(red[i], x, prow, prow[p])
+    return red, pivots
+
+
+def sparse_rref(rows: Iterable[dict]) -> tuple[list[dict], list[int]]:
+    """Reduced row echelon form of sparse rational rows {column: nonzero
+    coefficient}: the nonzero reduced rows, each 1 at its pivot, and the
+    pivot columns.  One division per nonzero entry of the _reduced rows
+    makes the pivots 1.
+    """
+    red, pivots = _reduced(rows)
     return [{j: Q(x, row[p]) for j, x in row.items()} for row, p in zip(red, pivots)], pivots
 
 
@@ -344,22 +353,27 @@ def rref(a: Mat) -> tuple[Mat, int, list[int]]:
 
 
 def _kernel_from_rref(red: list[dict], pivots: list[int], ncols: int) -> list[tuple]:
-    """Nullspace basis of the first ncols columns of the sparse reduced rows
+    """Nullspace basis of the first ncols columns of the _reduced int rows
     `red` with pivot columns `pivots`, each vector scaled so its first
-    nonzero coordinate equals 1."""
-    free = {j: {j: Q(1)} for j in range(ncols)}  # free column -> its kernel vector
+    nonzero coordinate equals 1.
+
+    The vector of free column j is 1 at j and -row[j] / row[p] at the pivot
+    p of each row; each coordinate is kept as an int pair (num, den) and
+    divided by the leading one in one Fraction."""
+    free = {j: {j: (1, 1)} for j in range(ncols)}  # free column -> its kernel vector
     for p in pivots:
         free.pop(p, None)
     for row, p in zip(red, pivots):
         for j, x in row.items():
             if j in free:
-                free[j][p] = -x
+                free[j][p] = (-x, row[p])
     basis = []
+    zero = Q(0)
     for v in free.values():
-        lead = v[min(v)]
-        dense = [Q(0)] * ncols
-        for k, x in v.items():
-            dense[k] = x / lead
+        lnum, lden = v[min(v)]
+        dense = [zero] * ncols
+        for k, (num, den) in v.items():
+            dense[k] = Q(num * lden, den * lnum)
         basis.append(tuple(dense))
     return basis
 
@@ -368,10 +382,10 @@ def sparse_kernel(rows: Iterable[dict], ncols: int) -> list[tuple]:
     """Basis of the nullspace of the matrix with ncols columns and the
     sparse rational rows {column: nonzero coefficient}.
 
-    Deterministic: derived from the RREF, each vector scaled so its first
-    nonzero coordinate equals 1.
+    Deterministic: derived from the reduced echelon form, each vector scaled
+    so its first nonzero coordinate equals 1.
     """
-    return _kernel_from_rref(*sparse_rref(rows), ncols)
+    return _kernel_from_rref(*_reduced(rows), ncols)
 
 
 def kernel_basis(a: Mat) -> list[tuple]:
@@ -395,13 +409,14 @@ def solve_linear(a: Mat, b: Sequence) -> tuple[Optional[tuple], list[tuple]]:
         bi = frac(bi)
         if bi:
             row[a.cols] = bi
-    red, pivots = sparse_rref(aug)
+    red, pivots = _reduced(aug)
     kernel = _kernel_from_rref(red, pivots, a.cols)
     if a.cols in pivots:
         return None, kernel
     x = [Q(0)] * a.cols
     for row, p in zip(red, pivots):
-        x[p] = row.get(a.cols, Q(0))
+        if a.cols in row:
+            x[p] = Q(row[a.cols], row[p])
     return tuple(x), kernel
 
 

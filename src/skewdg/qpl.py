@@ -193,11 +193,10 @@ def _ratios(support: dict, support2: dict, sigma: Sequence[int]):
     return pairs
 
 
-def _values(rows, pairs) -> list:
-    """prod pair^z for each integer row z, formed as one integer numerator
-    and one integer denominator (a negative power swaps the pair) and made
-    a Fraction once."""
-    out = []
+def _pairs(rows, pairs):
+    """prod pair^z for each integer row z, as one integer numerator and one
+    integer denominator (a negative power swaps the pair), unreduced: the
+    value is 1 exactly when they are equal."""
     for row in rows:
         num = den = 1
         for e, (a, b) in zip(row, pairs):
@@ -206,8 +205,12 @@ def _values(rows, pairs) -> list:
             if e:
                 num *= a ** e
                 den *= b ** e
-        out.append(Q(num, den))
-    return out
+        yield num, den
+
+
+def _values(rows, pairs) -> list:
+    """The values of _pairs, each made a Fraction once."""
+    return [Q(num, den) for num, den in _pairs(rows, pairs)]
 
 
 def _int_root(k: int, g: int) -> Optional[int]:
@@ -300,17 +303,16 @@ def _solve_scales(smith, pairs, n):
     if not pairs:
         return [tuple([Q(1)] * n)], []
     u, d, v = smith
-    nc = len(pairs)
-    transformed = _values(u, pairs)
+    rank = next((i for i in range(min(len(pairs), n)) if d[i][i] == 0), min(len(pairs), n))
+    # Rows of U beyond the rank span the left kernel of the exponent
+    # matrix: the closure condition prod r^z = 1 over that lattice.
+    if any(num != den for num, den in _pairs(u[rank:], pairs)):
+        return None
     needed: list[RootRequirement] = []
     y_choices = []
-    rank = 0
-    for i in range(min(nc, n)):
+    for i, (num, den) in enumerate(_pairs(u[:rank], pairs)):
         g = d[i][i]
-        if g == 0:
-            break
-        rank = i + 1
-        target = transformed[i] if g > 0 else 1 / transformed[i]
+        target = Q(num, den) if g > 0 else Q(den, num)
         g = abs(g)
         root = _nth_root(target, g)
         if root is None:
@@ -318,10 +320,6 @@ def _solve_scales(smith, pairs, n):
             continue
         options = [root] if (g % 2 or root == 0) else [root, -root]
         y_choices.append((i, options))
-    # Rows of U beyond the rank span the left kernel of the exponent
-    # matrix: the closure condition prod r^z = 1 over that lattice.
-    if any(transformed[i] != 1 for i in range(rank, nc)):
-        return None
     if needed:
         return [], needed
     indices = [i for i, _ in y_choices]
@@ -408,7 +406,7 @@ def aut_group(m: Mat) -> list[AutFamily]:
     for sigma in permutations(range(n)):
         pairs = _ratios(support, support, sigma)
         # Solvable over the algebraic closure iff the left kernel maps to 1.
-        if pairs is None or any(r != 1 for r in _values(leftover, pairs)):
+        if pairs is None or any(num != den for num, den in _pairs(leftover, pairs)):
             continue
         fixed = {}
         relations = []

@@ -229,13 +229,6 @@ def graded_basis(n: int, d: int) -> list[Monomial]:
     return list(_BASES[n, d])
 
 
-def coefficient_vector(elt: SkewElement, d: int, basis=None) -> tuple:
-    """Coefficients of the degree-d part of elt in graded_basis order."""
-    if basis is None:
-        basis = graded_basis(elt.n, d)
-    return tuple(elt.terms.get(m, Q(0)) for m in basis)
-
-
 # -- textual rendering and parsing -------------------------------------------
 #
 # Grammar: terms joined by +/-, each term [coeff *] factor*, a factor is

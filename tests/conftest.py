@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from skewdg import linalg
 from skewdg.linalg import Mat
 from skewdg.skew import SkewElement, graded_basis
 
@@ -151,6 +152,19 @@ def assert_tidy(elt, n):
     for mono, c in elt.terms.items():
         assert type(mono) is tuple and len(mono) == n
         assert type(c) is Fraction and c != 0
+
+
+def count_eliminations(monkeypatch) -> list:
+    """Patch the one elimination core, linalg._echelon, to record each call;
+    the returned list grows by one entry per elimination."""
+    calls = []
+    inner = linalg._echelon
+
+    def counted(rows):
+        calls.append(len(rows))
+        return inner(rows)
+    monkeypatch.setattr(linalg, "_echelon", counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

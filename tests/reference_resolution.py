@@ -29,7 +29,14 @@ from skewdg.dg import DgSpec
 from skewdg.linalg import Mat, kernel_basis, solve_linear
 from skewdg.qpl import QplMatrix, chi
 from skewdg.resolution import SemifreeResolution
-from skewdg.skew import SkewElement, coefficient_vector, graded_basis, mono_mul
+from skewdg.skew import SkewElement, graded_basis, mono_mul
+
+
+def coefficient_vector(elt, d, basis=None):
+    """Coefficients of the degree-d part of elt in graded_basis order."""
+    if basis is None:
+        basis = graded_basis(elt.n, d)
+    return tuple(elt.terms.get(m, Q(0)) for m in basis)
 
 
 def complex_map_rows(spec, rows, degree):

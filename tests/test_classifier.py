@@ -6,14 +6,15 @@ import sys
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (COHOMOLOGY_CASE_REPS, ERRATUM_1_1, NOT_CY, PLANAR_FAMILIES,
-                      SUBCASE_BATTERY)
+                      SUBCASE_BATTERY, count_eliminations)
 from reference_classify import presented_dims_by_rank
-from reference_linalg import ref_det
+from reference_linalg import ref_det, ref_kernel_basis
 from skewdg.classify import (
+    RANK2_NONDEG,
     GradedPresentation,
     classify,
     degenerate_presentation,
@@ -31,6 +32,43 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "gol
 from make_golden import MATRICES as GOLDEN_MATRICES  # noqa: E402
 
 
+@st.composite
+def rank2_candidates(draw):
+    """A B for rational A 3 x 2 and B 2 x 3, with the drawn row and column
+    (if any) of the product set to zero: rank at most 2."""
+    entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    a = draw(st.lists(st.lists(entries, min_size=2, max_size=2), min_size=3, max_size=3))
+    b = draw(st.lists(st.lists(entries, min_size=3, max_size=3), min_size=2, max_size=2))
+    zero_row = draw(st.sampled_from([None, 0, 1, 2]))
+    zero_col = draw(st.sampled_from([None, 0, 1, 2]))
+    return Mat([[Q(0) if zero_row == i or zero_col == j else a[i][0] * b[0][j] + a[i][1] * b[1][j]
+                 for j in range(3)] for i in range(3)])
+
+
+def assert_fraction_vectors(label):
+    # An int equals a Fraction under ==, so the types are checked apart.
+    assert all(type(x) is Q for key, v in label.data.items() if key != "axes" for x in v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rank2_candidates())
+def test_rank2_vectors_match_reference_kernels(m):
+    # s and t are cross products of rows and columns of M; the reference
+    # reads them off a Fraction Gauss-Jordan kernel of M and M^T.
+    assume(m.rank() == 2)
+    label = classify(m)
+    assert label.data["s"] == ref_kernel_basis(m.data, 3)[0]
+    assert label.data["t"] == ref_kernel_basis(m.T.data, 3)[0]
+    assert_fraction_vectors(label)
+
+
+def test_rank2_nondegenerate_classify_runs_one_elimination(monkeypatch):
+    # The rank of M is the only elimination: s and t are cross products.
+    calls = count_eliminations(monkeypatch)
+    assert classify(Mat([[1, 2, 0], [0, 1, 1], [1, 3, 1]])).branch == RANK2_NONDEG
+    assert len(calls) == 1
+
+
 def test_classify_examples():
     assert classify(Mat([[1, 0, 1], [0, 1, 0], [1, 0, 1]])).subcase == "1.1"
     assert classify(Mat([[0, 1, 0], [0, 0, 1], [0, 0, 0]])).subcase == "1.2.4"
@@ -45,7 +83,9 @@ def test_classify_examples():
 def test_classify_battery():
     for sub, mats in SUBCASE_BATTERY.items():
         for entry in mats:
-            assert classify(Mat(entry)).subcase == sub, entry
+            label = classify(Mat(entry))
+            assert label.subcase == sub, entry
+            assert_fraction_vectors(label)
 
 
 def test_erratum_matrix_is_rank3():

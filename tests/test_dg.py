@@ -9,16 +9,17 @@ import tempfile
 from fractions import Fraction as Q
 
 import pytest
-from conftest import assert_tidy, random_element
+from conftest import assert_tidy, count_eliminations, random_element
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_linalg import ref_column_pivots, ref_rank, ref_rref
+from reference_resolution import coefficient_vector
 
 from skewdg.cli import main
 from skewdg.dg import DgSpec, InternalConsistencyError, cup_kernel, cy_probe, koszul_dims
 from skewdg.linalg import Mat, kernel_basis
 from skewdg.resolution import SemifreeResolution, eilenberg_moore, verify_resolution
-from skewdg.skew import SkewElement, coefficient_vector, graded_basis
+from skewdg.skew import SkewElement, graded_basis
 
 
 def spec_of(rows):
@@ -239,8 +240,8 @@ def _product_matrix(a, b, n):
 
 
 @st.composite
-def low_rank_matrices(draw, max_n=5):
-    n = draw(st.integers(1, max_n))
+def low_rank_matrices(draw, max_n=5, min_n=1):
+    n = draw(st.integers(min_n, max_n))
     r = draw(st.integers(0, n))
     a = draw(st.lists(st.lists(RATIONALS, min_size=r, max_size=r), min_size=n, max_size=n))
     b = draw(st.lists(st.lists(RATIONALS, min_size=n, max_size=n), min_size=r, max_size=r))
@@ -361,6 +362,27 @@ def test_cup_kernel_matches_dense_reference():
         elif len(relations) == 2:
             seen.add("two relations")
     assert seen == {"degenerate", "nondegenerate", "two relations"}
+
+
+@settings(max_examples=80, deadline=None)
+@given(low_rank_matrices(max_n=3, min_n=3))
+def test_cup_relations_are_fractions_and_match_dense_reference(case):
+    # The products are summed as ints and the heads scaled back; an int
+    # equals a Fraction under ==, so the types are checked apart.
+    spec = DgSpec(case[0])
+    relations, extra = cup_kernel(spec)
+    assert (relations, extra) == dense_cup_kernel(spec), spec
+    assert all(type(x) is Q for rel in relations for x in rel)
+
+
+def test_rank1_probe_runs_three_eliminations(monkeypatch):
+    # H^1, the kernel of [products | images of A^1] and the reduced echelon
+    # of its heads; the rank of M is read before the count starts.
+    m = Mat([[1, 1, 1], [1, 1, 1], [2, 2, 2]])
+    assert m.rank() == 1
+    calls = count_eliminations(monkeypatch)
+    assert cy_probe(DgSpec(m)).branch == "degenerate-quadric"
+    assert len(calls) == 3
 
 
 def test_cy_probe_examples():

@@ -217,6 +217,25 @@ def test_sparse_kernel_matches_kernel_basis(system):
         assert kernel == kernel_basis(Mat(rows))
 
 
+@settings(max_examples=100, deadline=None)
+@given(sparse_rational_matrices(), st.booleans())
+def test_kernels_and_solutions_are_fractions(system, integral):
+    """Kernel and solution coordinates are made from int pairs, and rows of
+    ints enter the elimination as they are; an int equals a Fraction under
+    ==, so the types are checked apart from the reference values."""
+    rows, ncols = system
+    if integral:
+        rows = [[int(60 * x) for x in row] for row in rows]
+    kernel = sparse_kernel(sparse_rows(rows), ncols)
+    assert kernel == ref_kernel_basis(rows, ncols)
+    assert all(type(x) is Q for v in kernel for x in v)
+    if rows:
+        b = [sum(row) + i % 2 for i, row in enumerate(rows)]
+        solved = solve_linear(Mat(rows), b)
+        assert solved == ref_solve_linear(rows, ncols, b)
+        assert all(type(x) is Q for v in [solved[0] or ()] + solved[1] for x in v)
+
+
 @st.composite
 def structured_sparse_matrices(draw):
     """(rows, ncols, perm): a 0..60 x 1..60 rational matrix whose rows come
