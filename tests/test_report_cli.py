@@ -24,10 +24,9 @@ from make_golden import MATRICES as GOLDEN_MATRICES  # noqa: E402
 def test_import_builds_no_tables():
     # The shift tables and graded bases are built on first use; an import
     # that built them would add to every start of the CLI.
-    import skewdg
     code = ("import skewdg, skewdg.cli, skewdg.report; from skewdg import dg, skew; "
             "print(len(dg._SHIFTS), len(skew._BASES))")
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(skewdg.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(linalg.__file__)))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.split() == ["0", "0"]
