@@ -10,6 +10,7 @@ graded Leibniz rule; d^2 = 0 holds for every M.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from math import comb, lcm
 from typing import Optional
@@ -22,32 +23,41 @@ from .skew import InternalConsistencyError, SkewElement, add_terms, graded_basis
 class DgSpec:
     """The DG algebra on O_{-1}(k^n) determined by an n x n matrix."""
 
-    __slots__ = ("n", "m", "_den", "_support", "_values", "_img_cache", "_mono_images")
+    # __dict__ holds the tables of the cached properties below.
+    __slots__ = ("n", "m", "_img_cache", "_mono_images", "__dict__")
 
     def __init__(self, m: Mat):
         if m.rows != m.cols:
             raise ValueError("defining matrix must be square")
         object.__setattr__(self, "n", m.rows)
         object.__setattr__(self, "m", m)
-        # The lcm of the denominators of M: the images are kept as ints times it.
-        den = lcm(*[x.denominator for row in m.data for x in row])
-        object.__setattr__(self, "_den", den)
-        # Row i of _den M as (j, k, -k) over its nonzero entries k = _den M[i][j],
-        # and the table {+-k: +-M[i][j]} that reads an image coefficient as a Fraction.
-        support, values = [], {}
-        for row in m.data:
-            ints = []
-            for j, x in enumerate(row):
-                if x:
-                    k = x.numerator * (den // x.denominator)
-                    ints.append((j, k, -k))
-                    values[k] = x
-            support.append(ints)
-        values.update([(-k, -x) for k, x in values.items()])
-        object.__setattr__(self, "_support", support)
-        object.__setattr__(self, "_values", values)
         object.__setattr__(self, "_img_cache", {})  # degree -> images(degree)
         object.__setattr__(self, "_mono_images", {})  # monomial -> _image_of(monomial)
+
+    # _den, _support and _values are built on first read: cy_probe decides
+    # most matrices from the rank alone and reads none of them.
+
+    @cached_property
+    def _den(self) -> int:
+        """The lcm of the denominators of M: the images are kept as ints times it."""
+        return lcm(*[x.denominator for row in self.m.data for x in row])
+
+    @cached_property
+    def _support(self) -> list:
+        """Row i of _den M as (j, k, -k) over its nonzero entries k = _den M[i][j]."""
+        den = self._den
+        support = []
+        for row in self.m.data:
+            ints = [(j, x.numerator * (den // x.denominator)) for j, x in enumerate(row) if x]
+            support.append([(j, k, -k) for j, k in ints])
+        return support
+
+    @cached_property
+    def _values(self) -> dict:
+        """The table {+-k: +-M[i][j]} that reads an image coefficient as a Fraction."""
+        values = {k: self.m.data[i][j] for i, ints in enumerate(self._support) for j, k, _ in ints}
+        values.update([(-k, -x) for k, x in values.items()])
+        return values
 
     def __setattr__(self, name, value):
         raise AttributeError("DgSpec is immutable")
@@ -72,9 +82,10 @@ class DgSpec:
         +-_den M[i][j].
         """
         prefix = 0
+        support = self._support
         for i, a_i in enumerate(mono):
             if a_i % 2:
-                for j, mij, minus in self._support[i]:
+                for j, mij, minus in support[i]:
                     new = list(mono)
                     new[i] -= 1
                     new[j] += 2
@@ -107,8 +118,8 @@ class DgSpec:
         # denominator and divide once per monomial that survives.
         den = lcm(*[c.denominator for c in u.terms.values()])
         ints = [(mono, c.numerator * (den // c.denominator)) for mono, c in u.terms.items()]
-        acc = add_terms({}, ((key, a * x) for mono, a in ints
-                             for key, x in self._image_of(mono).items()))
+        image_of = self._image_of
+        acc = add_terms({}, ((key, a * x) for mono, a in ints for key, x in image_of(mono).items()))
         den *= self._den
         return SkewElement._tidy(self.n, {key: Q(a, den) for key, a in acc.items()})
 

@@ -5,11 +5,12 @@ Orbits of the action are exactly the isomorphism classes of DG structures,
 so deciding isomorphism means deciding whether the orbit equation has a
 solution.  For each candidate permutation the scale constraints form a
 multiplicative lattice system d_i / d_j^2 = r_ij.  Its exponents depend on
-the support of M alone, so the exponent lattice is eliminated once per call
-and each permutation only forms its ratios r_ij.  The Smith form decides the
-system: solvability over the algebraic closure is a character condition on
-the left kernel of the exponent matrix, and a rational witness is a matter
-of extracting rational roots of the transformed values.
+the zero pattern of M alone, so the exponent lattice is eliminated once per
+pattern per process (_LATTICES) and each permutation only forms its ratios
+r_ij.  The Smith form decides the system: solvability over the algebraic
+closure is a character condition on the left kernel of the exponent matrix,
+and a rational witness is a matter of extracting rational roots of the
+transformed values.
 """
 
 from __future__ import annotations
@@ -171,9 +172,47 @@ def _support(m: Mat) -> dict:
 
 def _exponents(support: dict, n: int) -> list:
     """The exponent row e_i - 2 e_j of each nonzero cell (i, j), in the
-    order of the support.  It depends on M's support alone, so one elimination
-    of these rows serves every permutation."""
+    order of the support.  It depends on M's zero pattern alone, so one
+    elimination of these rows (_lattice) serves every permutation and every
+    matrix of that pattern."""
     return [[(k == i) - 2 * (k == j) for k in range(n)] for i, j in support]
+
+
+_LATTICES = {}  # (n, zero-pattern bitmask) -> _lattice; depends on nothing else, so kept once built
+
+
+def _lattice(support: dict, n: int) -> tuple:
+    """The eliminations of _exponents(support, n), built once per zero
+    pattern and shared by every later call: (kernel, rank rows, diagonal, V,
+    echelon exponents, echelon transforms), each one flat tuple of ints,
+    row after row; the rows of V and of the echelon exponents are n long,
+    the others len(support).
+
+    The Smith form U E V = D gives the rows of U past the rank, a basis of
+    the left kernel lattice {z : z E = 0}, which both solvers check closure
+    on; the rows of U up to the rank with the nonzero diagonal of D; and V.
+    The Hermite form gives aut_group its echelon rows and their transforms.
+    The table holds one entry per pattern met, at most 2^(n^2) for each n,
+    and the solvers refuse n > 3, so at most 530 entries: lifting that gate
+    (ROADMAP item 8) must also bound the table.
+    """
+    key = (n, sum(1 << (i * n + j) for i, j in support))
+    entry = _LATTICES.get(key)
+    if entry is None:
+        exps = _exponents(support, n)
+        u, d, v = smith_normal_form(exps)
+        rank = next((i for i in range(min(len(exps), n)) if d[i][i] == 0), min(len(exps), n))
+        echelon = _hermite_rows(exps)
+        entry = _LATTICES[key] = (_flat(u[rank:]), _flat(u[:rank]),
+                                  tuple([d[i][i] for i in range(rank)]), _flat(v),
+                                  _flat(e for e, _ in echelon), _flat(t for _, t in echelon))
+    return entry
+
+
+def _flat(rows) -> tuple:
+    """Integer rows as one tuple, row after row: a tuple per row would
+    cost more than the ints of a short row."""
+    return tuple([x for row in rows for x in row])
 
 
 def _ratios(support: dict, support2: dict, sigma: Sequence[int]):
@@ -193,13 +232,17 @@ def _ratios(support: dict, support2: dict, sigma: Sequence[int]):
     return pairs
 
 
-def _pairs(rows, pairs):
-    """prod pair^z for each integer row z, as one integer numerator and one
-    integer denominator (a negative power swaps the pair), unreduced: the
-    value is 1 exactly when they are equal."""
-    for row in rows:
+def _pairs(flat, pairs):
+    """prod pair^z for each integer row z of a _flat tuple of rows as long
+    as pairs, as one integer numerator and one integer denominator (a
+    negative power swaps the pair), unreduced: the value is 1 exactly when
+    they are equal."""
+    entries = iter(flat)
+    # Each zip takes one row off entries: pairs runs out first, so no entry
+    # of the next row is lost.  An empty support has empty rows.
+    for _ in range(0, len(flat), len(pairs) or 1):
         num = den = 1
-        for e, (a, b) in zip(row, pairs):
+        for (a, b), e in zip(pairs, entries):
             if e < 0:
                 a, b, e = b, a, -e
             if e:
@@ -208,9 +251,9 @@ def _pairs(rows, pairs):
         yield num, den
 
 
-def _values(rows, pairs) -> list:
+def _values(flat, pairs) -> list:
     """The values of _pairs, each made a Fraction once."""
-    return [Q(num, den) for num, den in _pairs(rows, pairs)]
+    return [Q(num, den) for num, den in _pairs(flat, pairs)]
 
 
 def _int_root(k: int, g: int) -> Optional[int]:
@@ -253,8 +296,8 @@ def _hermite_rows(exps):
     Each row carries its transform, the integer combination of the input
     rows it stands for, so the value of a row for given ratios is
     _values(transform, pairs).  Returns the echelon rows as (exponents,
-    transform) and the transforms of the leftover rows, whose exponents
-    are zero: they span the left kernel of the exponent matrix."""
+    transform); the leftover rows, whose exponents are zero, span the left
+    kernel, which _lattice takes from the Smith form instead."""
     nc = len(exps)
     rows = [(list(e), [int(i == k) for k in range(nc)]) for i, e in enumerate(exps)]
     n = len(exps[0]) if exps else 0
@@ -286,12 +329,12 @@ def _hermite_rows(exps):
                 e, t = [-x for x in e], [-x for x in t]
             echelon.append((e, t))
         col += 1
-    return echelon, [t for _, t in rows]
+    return echelon
 
 
-def _solve_scales(smith, pairs, n):
+def _solve_scales(lattice, pairs, n):
     """Rational solutions of the multiplicative system, via the Smith form
-    (U, D, V) of its exponent rows.
+    (U, D, V) of its exponent rows, read off the _lattice entry.
 
     A unimodular change of variables turns the system into independent
     equations y_i^g = value, so a rational witness exists exactly when each
@@ -302,16 +345,14 @@ def _solve_scales(smith, pairs, n):
     """
     if not pairs:
         return [tuple([Q(1)] * n)], []
-    u, d, v = smith
-    rank = next((i for i in range(min(len(pairs), n)) if d[i][i] == 0), min(len(pairs), n))
+    kernel, rows, diagonal, v, _, _ = lattice
     # Rows of U beyond the rank span the left kernel of the exponent
     # matrix: the closure condition prod r^z = 1 over that lattice.
-    if any(num != den for num, den in _pairs(u[rank:], pairs)):
+    if any(num != den for num, den in _pairs(kernel, pairs)):
         return None
     needed: list[RootRequirement] = []
     y_choices = []
-    for i, (num, den) in enumerate(_pairs(u[:rank], pairs)):
-        g = d[i][i]
+    for i, ((num, den), g) in enumerate(zip(_pairs(rows, pairs), diagonal)):
         target = Q(num, den) if g > 0 else Q(den, num)
         g = abs(g)
         root = _nth_root(target, g)
@@ -335,13 +376,13 @@ def _solve_scales(smith, pairs, n):
 def iso_solve(m: Mat, m2: Mat) -> IsoResult:
     """Decide whether two defining matrices lie in the same orbit.
 
-    The exponents of the multiplicative scale system depend on M's support
-    alone, so their Smith form is computed once.  Every permutation is
-    screened structurally, then only its ratios are formed and pushed
-    through that Smith form: permutations whose system has no solution
-    over the algebraic closure are skipped, and a rational witness is
-    extracted whenever the required radicals are rational.  Witnesses are
-    re-verified exactly before being returned.
+    The exponents of the multiplicative scale system depend on M's zero
+    pattern alone, so their Smith form is read from _lattice.  Every
+    permutation is screened structurally, then only its ratios are formed
+    and pushed through that Smith form: permutations whose system has no
+    solution over the algebraic closure are skipped, and a rational witness
+    is extracted whenever the required radicals are rational.  Witnesses
+    are re-verified exactly before being returned.
     """
     if m.rows != m.cols or m2.rows != m2.cols or m.rows != m2.rows:
         raise ValueError("matrices must be square of equal size")
@@ -349,13 +390,13 @@ def iso_solve(m: Mat, m2: Mat) -> IsoResult:
     if n > 3:
         raise UnsupportedSize("isomorphism search is implemented for n <= 3")
     support, support2 = _support(m), _support(m2)
-    smith = smith_normal_form(_exponents(support, n)) if support else None
+    lattice = _lattice(support, n)
     closure_hits = []
     for sigma in permutations(range(n)):
         pairs = _ratios(support, support2, sigma)
         if pairs is None:
             continue
-        solved = _solve_scales(smith, pairs, n)
+        solved = _solve_scales(lattice, pairs, n)
         if solved is None:
             continue
         candidates, needed = solved
@@ -401,17 +442,18 @@ def aut_group(m: Mat) -> list[AutFamily]:
     if n > 3:
         raise UnsupportedSize("automorphism search is implemented for n <= 3")
     support = _support(m)
-    echelon, leftover = _hermite_rows(_exponents(support, n))
+    kernel, _, _, _, exps, transforms = _lattice(support, n)
     families = []
     for sigma in permutations(range(n)):
         pairs = _ratios(support, support, sigma)
         # Solvable over the algebraic closure iff the left kernel maps to 1.
-        if pairs is None or any(num != den for num, den in _pairs(leftover, pairs)):
+        if pairs is None or any(num != den for num, den in _pairs(kernel, pairs)):
             continue
         fixed = {}
         relations = []
         pivot_cols = set()
-        for (e, _), r in zip(echelon, _values([t for _, t in echelon], pairs)):
+        # zip(*[iter(exps)] * n) reads the exponent rows back, n ints each.
+        for e, r in zip(zip(*[iter(exps)] * n), _values(transforms, pairs)):
             col = next(k for k in range(n) if e[k] != 0)
             pivot_cols.add(col)
             if e[col] == 1 and all(e[k] == 0 for k in range(col + 1, n)):

@@ -120,12 +120,12 @@ def verify_resolution(spec: DgSpec, res: SemifreeResolution, dmax: int = 5) -> V
     # d(d[j][l]) - sum_k d[j][k] d[k][l] on the terms; only a failure becomes an element.
     square_zero = True
     nonzero = [[(k, e.terms.items()) for k, e in enumerate(row) if e.terms] for row in rows]
-    values = spec._values  # the int coefficients of the images as Fractions
+    values, image_of = spec._values, spec._image_of  # values reads an image's ints as Fractions
     for j in range(m):
         for l in range(m):
             acc = {}
             for mono, c in rows[j][l].terms.items():
-                for key, x in spec._image_of(mono).items():
+                for key, x in image_of(mono).items():
                     acc[key] = acc.get(key, 0) + c * values[x]
             for k, left in nonzero[j]:
                 for a, x in left:

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference_qpl import ref_aut_group, ref_iso_solve
 
 from skewdg import qpl
@@ -175,9 +177,11 @@ def test_closure_decision_regression():
 
 
 def test_one_lattice_elimination_per_call(monkeypatch):
-    # The exponent rows depend on M's support alone, so one iso_solve runs
-    # one Smith form and one aut_group one Hermite elimination, although
-    # all six permutations pass the zero-pattern screen here.
+    # The exponent rows depend on M's zero pattern alone, so the first call
+    # on a pattern runs one Smith form and one Hermite elimination, and a
+    # later call on any matrix of that pattern runs none, although all six
+    # permutations pass the zero-pattern screen on the full pattern.
+    monkeypatch.setattr(qpl, "_LATTICES", {})
     calls = {"smith_normal_form": 0, "_hermite_rows": 0}
 
     def counted(name):
@@ -192,10 +196,19 @@ def test_one_lattice_elimination_per_call(monkeypatch):
     counted("_hermite_rows")
     ones = Mat([[1, 1, 1], [1, 1, 1], [1, 1, 1]])
     other = Mat([[1, 1, 1], [1, 1, 1], [1, 1, 2]])
+    e12 = Mat([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+    for solve in (lambda m: iso_solve(m, other), aut_group):
+        qpl._LATTICES.clear()
+        for m, built in ((ones, 1), (other, 0), (e12, 1), (Mat([[0, 5, 0], [0, 0, 0], [0, 0, 0]]), 0)):
+            before = dict(calls)
+            solve(m)
+            assert calls == {name: k + built for name, k in before.items()}, m
+        # Keyed on n and the row-major bitmask of the nonzero cells.
+        assert list(qpl._LATTICES) == [(3, 2 ** 9 - 1), (3, 1 << 1)]
+    before = dict(calls)
     assert iso_solve(ones, other).status == "NotIsomorphic"
-    assert calls["smith_normal_form"] == 1
     assert len(aut_group(other)) == 2
-    assert calls["_hermite_rows"] == 1
+    assert calls == before
 
 
 def test_iso_exact_root_of_large_scale():
@@ -263,3 +276,61 @@ def test_scale_solver_matches_fraction_reference():
                 [f.as_dict() for f in ref_aut_group(side)], side
             assert all(type(v) is Q for f in families for v in f.fixed.values())
     assert seen == {"Witness", "NotIsomorphic", "ClosureOnly"}
+
+
+ENTRIES = st.sampled_from([0, 0, 0, 1, -1, 2, 3, Q(1, 2), Q(-2, 3)])
+
+
+@st.composite
+def orbit_cases(draw):
+    """(M, chi(M, C), the image with one cell perturbed): n <= 3, mostly
+    zero cells, and scales that are often no square."""
+    n = draw(st.integers(1, 3))
+    m = Mat(draw(st.lists(st.lists(ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n)))
+    perm = draw(st.permutations(range(n)))
+    scales = draw(st.lists(st.sampled_from([1, -1, 2, 3, Q(1, 2), Q(-5, 3)]), min_size=n,
+                           max_size=n))
+    image = chi(m, QplMatrix(tuple(perm), tuple(scales)))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    rows = [list(row) for row in image.data]
+    rows[i][j] = rows[i][j] * draw(st.sampled_from([2, 3, -1])) or Q(1)
+    return m, image, Mat(rows)
+
+
+def _pattern_neighbours(m):
+    """Matrices that fill the table before the warm calls, first those of
+    other patterns with as many cells: the transpose of M and M with its
+    cells moved one column on; then M with every nonzero entry 1, its own
+    pattern with other values."""
+    n = m.rows
+    yield Mat([[m[j, i] for j in range(n)] for i in range(n)])
+    yield Mat([[m[i, (j + 1) % n] for j in range(n)] for i in range(n)])
+    yield Mat([[int(x != 0) for x in row] for row in m.data])
+
+
+@settings(max_examples=150, deadline=None)
+@given(orbit_cases())
+def test_cold_and_warm_lattice_tables_agree(case):
+    # An entry of _LATTICES depends on the zero pattern alone: built from
+    # another matrix of the pattern, next to entries of other patterns with
+    # as many cells, it gives the answers a cold table gives.
+    m, image, partner = case
+
+    def answers():
+        return ([iso_solve(a, b).as_dict() for a, b in ((m, image), (m, partner), (partner, m))],
+                [[f.as_dict() for f in aut_group(a)] for a in (m, image, partner)])
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qpl, "_LATTICES", {})
+        cold = answers()
+        mp.setattr(qpl, "_LATTICES", {})
+        for a in (m, image, partner):
+            for other in _pattern_neighbours(a):
+                iso_solve(other, other)
+                aut_group(other)
+        assert answers() == cold
+        # Shared entries are flat tuples of ints, so no caller can change one.
+        for entry in qpl._LATTICES.values():
+            assert type(entry) is tuple and len(entry) == 6
+            for part in entry:
+                assert type(part) is tuple and all(type(x) is int for x in part)

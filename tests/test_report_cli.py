@@ -22,14 +22,14 @@ from make_golden import MATRICES as GOLDEN_MATRICES  # noqa: E402
 
 
 def test_import_builds_no_tables():
-    # The shift tables and graded bases are built on first use; an import
-    # that built them would add to every start of the CLI.
-    code = ("import skewdg, skewdg.cli, skewdg.report; from skewdg import dg, skew; "
-            "print(len(dg._SHIFTS), len(skew._BASES))")
+    # The shift tables, graded bases and scale lattices are built on first
+    # use; an import that built them would add to every start of the CLI.
+    code = ("import skewdg, skewdg.cli, skewdg.report; from skewdg import dg, qpl, skew; "
+            "print(len(dg._SHIFTS), len(skew._BASES), len(qpl._LATTICES))")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(linalg.__file__)))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
-    assert out.stdout.split() == ["0", "0"]
+    assert out.stdout.split() == ["0", "0", "0"]
 
 
 def write_matrix(tmp_path, name, rows, n=3):
