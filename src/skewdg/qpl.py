@@ -178,7 +178,7 @@ def _exponents(support: dict, n: int) -> list:
     return [[(k == i) - 2 * (k == j) for k in range(n)] for i, j in support]
 
 
-_LATTICES = {}  # (n, zero-pattern bitmask) -> _lattice; depends on nothing else, so kept once built
+_LATTICES = {}  # (n, zero-pattern bitmask) -> _lattice; depends on nothing else, kept once built
 
 
 def _lattice(support: dict, n: int) -> tuple:
