@@ -72,6 +72,35 @@ MATRICES = {
     "n5": [[1, 1, 0, 0, 0], [0, 1, 1, 0, 0], [0, 0, 1, 1, 0], [0, 0, 0, 1, 1], [0, 0, 0, 0, 0]],
 }
 
+
+def _algebra(dim, unit, products):
+    """A structure-constant file whose products b_i b_j = b_k are the pairs
+    (i, j): k of `products`; every other product is zero."""
+    flat = [0] * dim ** 3
+    for (i, j), k in products.items():
+        flat[(i * dim + j) * dim + k] = 1
+    return {"dim": dim, "unit": [str(u) for u in unit], "structure": [str(x) for x in flat]}
+
+
+def _unital(dim, products):
+    """_algebra with b_0 as its unit, on top of the radical products."""
+    return _algebra(dim, [1] + [0] * (dim - 1),
+                    {**{(0, i): i for i in range(dim)}, **{(i, 0): i for i in range(dim)},
+                     **products})
+
+
+# Inputs of `frobenius`: k[x]/(x^4) on 1, x, x^2, x^3; sklyanin_e(1, 1, 0)
+# on 1, e1, e2, e3; k + the strictly upper triangular 3 x 3 matrices on 1,
+# E01, E02, E12 (local, not commutative: the randomized path); and M_2(k) on
+# E00, E01, E10, E11 (not local).
+ALGEBRAS = {
+    "alg_trunc4": _unital(4, {(i, j): i + j for i in range(1, 4) for j in range(1, 4) if i + j < 4}),
+    "alg_sklyanin_110": _unital(4, {(1, 1): 3, (2, 2): 3}),
+    "alg_unipotent3": _unital(4, {(1, 3): 2}),
+    "alg_m2": _algebra(4, [1, 0, 0, 1], {(2 * a + b, 2 * b + c): 2 * a + c
+                                         for a in range(2) for b in range(2) for c in range(2)}),
+}
+
 PER_INPUT = (
     ["validate"],
     ["classify"],
@@ -102,6 +131,8 @@ def invocations():
         yield "iso.%s.%s" % (a, b), ["iso", "inputs/%s.json" % a, "inputs/%s.json" % b]
     # Presented dimensions checked against the brute force past degree 10.
     yield "M1.report.max_degree_12", ["report", "inputs/M1.json", "--max-degree", "12"]
+    for name in ALGEBRAS:
+        yield name + ".frobenius", ["frobenius", "inputs/%s.json" % name]
 
 
 def run(argv, root=HERE):
@@ -119,6 +150,10 @@ def write():
     for name, rows in MATRICES.items():
         with open(os.path.join(HERE, "inputs", name + ".json"), "w") as handle:
             json.dump({"n": len(rows), "matrix": [[str(x) for x in r] for r in rows]}, handle)
+            handle.write("\n")
+    for name, data in ALGEBRAS.items():
+        with open(os.path.join(HERE, "inputs", name + ".json"), "w") as handle:
+            json.dump(data, handle)
             handle.write("\n")
     manifest = []
     for key, argv in invocations():
