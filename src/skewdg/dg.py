@@ -251,11 +251,6 @@ def complex_classes(spec: DgSpec, rows, degree: int):
     B^degree.  Each is a list of m SkewElements, its coefficients on e_l.
     The cocycles are kernel vectors, the same for d_F and for the scaled int
     columns; the coboundaries are such columns, divided by the scale.
-
-    The cocycles come as a list and the coboundaries as an iterator that
-    builds each element when it is read: the resolution builder reads only
-    the cocycles, and in its round on m generators about m coboundaries of
-    m entries each would be built for nothing.
     """
     basis = graded_basis(spec.n, degree)
     bound = _complex_columns(spec, rows, degree - 1) if degree else []
@@ -275,7 +270,7 @@ def complex_classes(spec: DgSpec, rows, degree: int):
 
     scale = _grid_scale(spec, rows)
     return ([element(cols[c]) for c in pivots[rank:]],
-            (element({k: Q(x, scale) for k, x in cols[c].items()}) for c in pivots[:rank]))
+            [element({k: Q(x, scale) for k, x in cols[c].items()}) for c in pivots[:rank]])
 
 
 def koszul_dims(n: int, rank: int, dmax: int) -> list[int]:

@@ -14,8 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .linalg import (Mat, Q, column_pivots, frac, in_span, sparse_kernel, sparse_matmul,
-                     sparse_rows, sparse_rref, sparse_transpose)
+from .linalg import Mat, Q, column_pivots, frac, sparse_kernel, sparse_transpose
 from .skew import InternalConsistencyError
 
 
@@ -32,7 +31,7 @@ class FinAlg:
     is built.  The socle is computed on first use and kept.
     """
 
-    __slots__ = ("dim", "unit", "structure", "radical_powers", "_socle")
+    __slots__ = ("dim", "unit", "structure", "radical_powers", "_rad_gens", "_socle")
 
     def __init__(self, dim: int, unit: Sequence, structure):
         """structure[i][j] is the dense coordinate vector of b_i b_j."""
@@ -48,7 +47,9 @@ class FinAlg:
         object.__setattr__(self, "structure", table)
         object.__setattr__(self, "_socle", None)
         self._validate()
-        object.__setattr__(self, "radical_powers", self._radical_powers())
+        powers, gens = self._radical_powers()
+        object.__setattr__(self, "radical_powers", powers)
+        object.__setattr__(self, "_rad_gens", gens)
         return self
 
     def __setattr__(self, name, value):
@@ -67,43 +68,9 @@ class FinAlg:
                                    for j in range(dim)] for i in range(dim)])
 
     @staticmethod
-    def from_matrix_algebra(mats: Sequence[Mat]) -> "FinAlg":
-        """from_sparse_matrices on the nonzero entries of each row of mats."""
-        return FinAlg.from_sparse_matrices([sparse_rows(mat.data) for mat in mats],
-                                           mats[0].rows if mats else 0)
-
-    @staticmethod
-    def from_sparse_matrices(mats: Sequence[Sequence[dict]], size: int) -> "FinAlg":
-        """Algebra spanned by linearly independent size x size matrices, each
-        given as its rows {column: nonzero Fraction}.
-
-        The span must be closed under multiplication and contain the
-        identity; violations are reported as internal errors because the
-        callers only pass commutants, which are always closed.  One
-        elimination of [span | identity | all products] gives every
-        coordinate: they are the first dim rows of its reduced form.  The
-        matrices are multiplied and eliminated as sparse rows.
-        """
-        dim = len(mats)
-        if dim == 0:
-            raise AlgebraError("empty matrix algebra")
-        cols = list(mats) + [[{i: Q(1)} for i in range(size)]]
-        cols += [sparse_matmul(a, b) for a in mats for b in mats]
-        cells = [{i * size + j: x for i, row in enumerate(mat) for j, x in row.items()}
-                 for mat in cols]
-        red, pivots = sparse_rref(sparse_transpose(cells).values())
-        if pivots[:dim] != list(range(dim)):
-            raise AlgebraError("the spanning matrices are linearly dependent")
-        if dim in pivots:
-            raise AlgebraError("identity matrix is not in the span")
-        if len(pivots) > dim:
-            raise AlgebraError("matrix span is not multiplicatively closed")
-        # Column t of the reduced system: the coordinates {k: c} of matrix t.
-        coords = sparse_transpose(red)
-        table = tuple(tuple(tuple(coords.get(dim + 1 + i * dim + j, {}).items())
-                            for j in range(dim)) for i in range(dim))
-        return object.__new__(FinAlg)._finish(
-            dim, tuple(coords.get(dim, {}).get(k, Q(0)) for k in range(dim)), table)
+    def from_pairs(dim: int, unit: tuple, table: tuple) -> "FinAlg":
+        """A unit of Fractions and the constants in the layout of `structure`."""
+        return object.__new__(FinAlg)._finish(dim, unit, table)
 
     # -- validation -----------------------------------------------------------
 
@@ -167,23 +134,25 @@ class FinAlg:
                 for row in self.structure]
 
     def _radical_powers(self) -> tuple:
-        """Bases of rad, rad^2, ..., ending with the first empty power.
+        """(bases of rad, rad^2, ..., ending with the first empty power; the
+        generators G of rad, its basis elements outside rad^2).
 
-        The radical is the kernel of the trace form (char 0).  rad^{i+1} is
-        spanned by the products x y with x in rad^i, y in rad; its basis is
-        the products at their column pivots.
+        rad is the kernel of the trace form (char 0).  The words of length >= i
+        in G span rad^i, so rad^2 = span(rad rad) and rad^{i+1} = span(rad^i G).
         """
         rad = sparse_kernel(self._trace_form(), self.dim)
-        rad_terms = [_terms(y) for y in rad]
-        powers = [rad]
+        powers, gens = [rad], rad
         while powers[-1]:
-            products = [self._product(xs, ys)
-                        for xs in map(_terms, powers[-1]) for ys in rad_terms]
+            products = [self._product(x, y) for x in map(_terms, powers[-1])
+                        for y in map(_terms, gens)]
             powers.append([tuple(products[t].get(k, Q(0)) for k in range(self.dim))
                            for t in column_pivots(products)])
             if len(powers[-1]) == len(powers[-2]):
                 raise InternalConsistencyError("the trace-form radical is not nilpotent")
-        return tuple(tuple(p) for p in powers)
+            if len(powers) == 2:  # G: the pivots of [rad^2 | rad] past rad^2
+                pivots = column_pivots([dict(_terms(v)) for v in powers[1] + rad])
+                gens = [rad[t - len(powers[1])] for t in pivots if t >= len(powers[1])]
+        return tuple(tuple(p) for p in powers), tuple(gens)
 
     def is_local(self) -> bool:
         return len(self.radical_powers[0]) == self.dim - 1
@@ -195,22 +164,22 @@ class FinAlg:
         return [a - b for a, b in zip(sizes, sizes[1:])]
 
     def socle_basis(self) -> list[tuple]:
-        """{x : x rad = rad x = 0}, the kernel of the stacked L_r and R_r.
+        """{x : x rad = rad x = 0}, the kernel of the stacked L_g and R_g for
+        the generators g of rad, whose words span rad.
 
         In a local algebra of dimension > 1 that kernel already lies in rad,
         so it is not intersected with rad: for x = c 1 + y with y in rad,
-        x r = 0 for some r in rad outside rad^2 gives c r = -y r in rad^2,
-        so c = 0.
+        x g = 0 for a generator g gives c g = -y g in rad^2, so c = 0.
         """
         if not self.is_local():
             raise AlgebraError("socle criterion applies to local algebras only")
         if self._socle is None:
             m = self.dim
             rows = []
-            for r in map(_terms, self.radical_powers[0]):
-                # Column j of L_r and of R_r: the coordinates of r b_j and b_j r.
-                rows += sparse_transpose([self._product(r, [(j, 1)]) for j in range(m)]).values()
-                rows += sparse_transpose([self._product([(j, 1)], r) for j in range(m)]).values()
+            for g in map(_terms, self._rad_gens):
+                # Column j of L_g and of R_g: the coordinates of g b_j and b_j g.
+                rows += sparse_transpose([self._product(g, [(j, 1)]) for j in range(m)]).values()
+                rows += sparse_transpose([self._product([(j, 1)], g) for j in range(m)]).values()
             object.__setattr__(self, "_socle", tuple(sparse_kernel(rows, m)))
         return list(self._socle)
 
@@ -315,10 +284,8 @@ def recognize_truncated(e: FinAlg) -> Optional[int]:
     filtration = e.radical_filtration()
     if len(filtration) < 2 or filtration[1] != 1:
         return None if e.dim > 1 else 1
-    # A lift of the rad/rad^2 generator: any radical element outside rad^2.
-    rad, rad2 = e.radical_powers[0], e.radical_powers[1]
-    gen = next(v for v in rad if not in_span(rad2, v))
-    power = gen
+    # The one generator of rad lifts the generator of rad/rad^2.
+    gen = power = e._rad_gens[0]
     for _ in range(e.dim - 2):
         power = e.multiply(power, gen)
     if all(x == 0 for x in power):

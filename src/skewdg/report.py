@@ -48,7 +48,7 @@ def n2_presentation(m: Mat) -> Optional[GradedPresentation]:
 
 
 # The built resolution is checked exact below degree 4.  Exactness through
-# degree n + 1 would prove H(F) = k in every degree; ROADMAP item 2 derives
+# degree n + 1 would prove H(F) = k in every degree; ROADMAP item 1 derives
 # the depth n + 2 together with that certificate.
 VERIFY_DEPTH = 4
 

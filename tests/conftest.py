@@ -4,6 +4,7 @@ random skew elements."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from skewdg import linalg
 from skewdg.linalg import Mat
@@ -221,3 +222,21 @@ def representative_resolutions():
             "truncated": recognize_truncated(ext),
         }
     return results
+
+
+RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+def _product_matrix(a, b, n):
+    """A B for A n x r and B r x n: a matrix of rank at most r."""
+    return Mat([[sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(n)]
+                for i in range(n)])
+
+
+@st.composite
+def low_rank_matrices(draw, max_n=5, min_n=1):
+    n = draw(st.integers(min_n, max_n))
+    r = draw(st.integers(0, n))
+    a = draw(st.lists(st.lists(RATIONALS, min_size=r, max_size=r), min_size=n, max_size=n))
+    b = draw(st.lists(st.lists(RATIONALS, min_size=n, max_size=n), min_size=r, max_size=r))
+    return _product_matrix(a, b, n), r

@@ -11,13 +11,17 @@ caller computes it once per algebra.
 
 The package stores structure constants sparse; ref_multiply multiplies on a
 dense table c[i][j][k], and ref_matrix_algebra builds that table for a span
-of matrices with dense Mat products and one rref, as the package did before
-its matrices were multiplied as sparse rows.
+of matrices with dense Mat products and one rref.  from_sparse_matrices
+builds the FinAlg of such a span with sparse products and one sparse_rref,
+checking that the span is independent, holds the identity and is closed;
+from_matrix_algebra is the same on dense Mats.
 """
 
 import random
 
-from skewdg.linalg import Mat, Q, kernel_basis, rref, solve_linear
+from skewdg.finalg import AlgebraError, FinAlg
+from skewdg.linalg import (Mat, Q, kernel_basis, rref, solve_linear, sparse_matmul, sparse_rows,
+                           sparse_rref, sparse_transpose)
 
 
 def _basis_vec(e, i):
@@ -185,3 +189,40 @@ def ref_matrix_algebra(mats):
     assert pivots == list(range(dim)), pivots
     coords = [red.column(t)[:dim] for t in range(dim, len(cols))]
     return dim, coords[0], [coords[1 + i * dim: 1 + (i + 1) * dim] for i in range(dim)]
+
+
+def from_matrix_algebra(mats):
+    """from_sparse_matrices on the nonzero entries of each row of mats."""
+    return from_sparse_matrices([sparse_rows(mat.data) for mat in mats],
+                                mats[0].rows if mats else 0)
+
+
+def from_sparse_matrices(mats, size):
+    """The FinAlg spanned by linearly independent size x size matrices, each
+    given as its rows {column: nonzero Fraction}.
+
+    The span must be closed under multiplication and contain the identity;
+    AlgebraError names the first violation.  One elimination of [span |
+    identity | all products] gives every coordinate: they are the first dim
+    rows of its reduced form.
+    """
+    dim = len(mats)
+    if dim == 0:
+        raise AlgebraError("empty matrix algebra")
+    cols = list(mats) + [[{i: Q(1)} for i in range(size)]]
+    cols += [sparse_matmul(a, b) for a in mats for b in mats]
+    cells = [{i * size + j: x for i, row in enumerate(mat) for j, x in row.items()}
+             for mat in cols]
+    red, pivots = sparse_rref(sparse_transpose(cells).values())
+    if pivots[:dim] != list(range(dim)):
+        raise AlgebraError("the spanning matrices are linearly dependent")
+    if dim in pivots:
+        raise AlgebraError("identity matrix is not in the span")
+    if len(pivots) > dim:
+        raise AlgebraError("matrix span is not multiplicatively closed")
+    # Column t of the reduced system: the coordinates {k: c} of matrix t.
+    coords = sparse_transpose(red)
+    table = tuple(tuple(tuple(coords.get(dim + 1 + i * dim + j, {}).items())
+                        for j in range(dim)) for i in range(dim))
+    return FinAlg.from_pairs(dim, tuple(coords.get(dim, {}).get(k, Q(0)) for k in range(dim)),
+                             table)

@@ -18,6 +18,9 @@ Fractions per equation; the package solves the same system on sparse rows.
 ref_h1_representatives takes the H^1(F) cocycles from the kernel of a dense
 Mat, and ref_square_zero_failures forms every product d[j][k] d[k][l], zero
 factors included; the package takes a sparse kernel and skips zero factors.
+ref_eilenberg_moore kills H^1 with the classes at the column pivots of
+[B^1 | Z^1] in every round; the package keeps the kernel vectors that are
+nonzero on the generators of the previous round.
 """
 
 from fractions import Fraction as Q
@@ -25,10 +28,10 @@ from fractions import Fraction as Q
 from reference_linalg import ref_column_pivots
 
 from skewdg.classify import RANK1, RANK2_DEGENERATE, classify, quadric_coefficients
-from skewdg.dg import DgSpec
+from skewdg.dg import DgSpec, complex_classes
 from skewdg.linalg import Mat, kernel_basis, solve_linear
 from skewdg.qpl import QplMatrix, chi
-from skewdg.resolution import SemifreeResolution
+from skewdg.resolution import SemifreeResolution, _square_grid
 from skewdg.skew import SkewElement, graded_basis, mono_mul
 
 
@@ -138,6 +141,22 @@ def ref_h1_representatives(spec, rows):
     reps = [cols[p] for p in ref_column_pivots(cols, m * n) if p >= len(bound)]
     return [[SkewElement(n, {mono: vec[j * n + i] for i, mono in enumerate(basis1)})
              for j in range(m)] for vec in reps]
+
+
+def ref_eilenberg_moore(spec, max_size=64):
+    """(grid, complete) of eilenberg_moore, each round taking the H^1(F)
+    classes of complex_classes: the kernel vectors of d_F on F^1 at the
+    pivots of [B^1 | Z^1]."""
+    zero = SkewElement.zero(spec.n)
+    rows = [[]]
+    while True:
+        reps = complex_classes(spec, rows, 1)[0]
+        if not reps:
+            return _square_grid(spec, rows), True
+        if len(rows) + len(reps) > max_size:
+            return _square_grid(spec, rows), False
+        for rep in reps:
+            rows.append(list(rep) + [zero] * (len(rows) - len(rep)))
 
 
 def ref_square_zero_failures(spec, rows):

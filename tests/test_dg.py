@@ -9,9 +9,9 @@ import tempfile
 from fractions import Fraction as Q
 
 import pytest
-from conftest import assert_tidy, count_eliminations, random_element
+from conftest import (RATIONALS, _product_matrix, assert_tidy, count_eliminations,
+                      low_rank_matrices, random_element)
 from hypothesis import given, settings
-from hypothesis import strategies as st
 from reference_linalg import ref_column_pivots, ref_rank, ref_rref
 from reference_resolution import coefficient_vector
 
@@ -230,24 +230,6 @@ def test_internal_dimension_consistency():
 
 # Degrees to which the brute force is compared with the Koszul closed form.
 KOSZUL_DEGREES = {1: 8, 2: 7, 3: 6, 4: 5, 5: 4}
-RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
-
-
-def _product_matrix(a, b, n):
-    """A B for A n x r and B r x n: a matrix of rank at most r."""
-    return Mat([[sum((a[i][k] * b[k][j] for k in range(len(b))), Q(0)) for j in range(n)]
-                for i in range(n)])
-
-
-@st.composite
-def low_rank_matrices(draw, max_n=5, min_n=1):
-    n = draw(st.integers(min_n, max_n))
-    r = draw(st.integers(0, n))
-    a = draw(st.lists(st.lists(RATIONALS, min_size=r, max_size=r), min_size=n, max_size=n))
-    b = draw(st.lists(st.lists(RATIONALS, min_size=n, max_size=n), min_size=r, max_size=r))
-    return _product_matrix(a, b, n), r
-
-
 @settings(max_examples=60, deadline=None)
 @given(low_rank_matrices())
 def test_koszul_dims_match_brute_force(case):

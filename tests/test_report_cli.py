@@ -200,12 +200,13 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     with pytest.raises(ValueError, match="library bug"):
         main(["classify", n3])
 
-    # The Ext commutant is an algebra by construction, so an AlgebraError
-    # from packaging it is an internal inconsistency, not bad input.
-    def not_closed(mats, size):
+    # The Ext commutant is an algebra by construction, and FinAlg's
+    # validation of its constants certifies that its span is closed: an
+    # AlgebraError there is an internal inconsistency, not bad input.
+    def not_closed(self):
         raise AlgebraError("span is not closed under multiplication")
 
-    monkeypatch.setattr(FinAlg, "from_sparse_matrices", staticmethod(not_closed))
+    monkeypatch.setattr(FinAlg, "_validate", not_closed)
     assert main(["ext", n3]) == 3
     assert "not closed" in capsys.readouterr().err
 

@@ -6,16 +6,19 @@ import sys
 from fractions import Fraction as Q
 from math import lcm
 
+import pytest
 from conftest import (NOT_CY, SUBCASE_BATTERY, SUBCASE_EXT, SUBCASE_SIZE, fresh_minimal_size,
-                      product_rule_size)
+                      low_rank_matrices, product_rule_size)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference_finalg import ref_matrix_algebra
 from reference_linalg import ref_column_pivots, ref_rank
 from reference_resolution import (commutant_matrices, complex_map_rows, ref_complex_columns,
-                                  ref_h1_representatives, ref_square_zero_failures,
-                                  reference_resolution)
+                                  ref_eilenberg_moore, ref_h1_representatives,
+                                  ref_square_zero_failures, reference_resolution)
 from skewdg import dg as dg_module
 from skewdg import resolution as resolution_module
-from skewdg.dg import DgSpec, complex_classes, complex_cohomology_dims
+from skewdg.dg import DgSpec, InternalConsistencyError, complex_classes, complex_cohomology_dims
 from skewdg.finalg import FinAlg, frobenius, radical_filtration, recognize_truncated, socle_dim
 from skewdg.linalg import Mat
 from skewdg.qpl import QplMatrix, chi, iso_solve
@@ -168,7 +171,6 @@ def test_coboundaries_on_a_fractional_grid_match_dense_columns():
         dense = complex_map_rows(spec, grid, degree - 1)
         cols = [[row[c] for row in dense] for c in range(len(dense[0]))]
         cocycles, coboundaries = complex_classes(spec, grid, degree)
-        coboundaries = list(coboundaries)
         assert coboundaries, degree
         assert coboundaries == [element(cols[p]) for p in ref_column_pivots(cols, len(dense))]
         # The cocycles are kernel vectors of d_F on F^degree.
@@ -179,20 +181,21 @@ def test_coboundaries_on_a_fractional_grid_match_dense_columns():
 
 
 def test_h1_representatives_match_dense_kernel(monkeypatch):
-    # Each eilenberg_moore round takes the H^1(F) cocycles from sparse_kernel
-    # on the rows of d_F; the reference takes them from a dense Mat.  The
-    # representatives, and so the resolutions, must be the same.
-    package = resolution_module.complex_classes
+    # Each eilenberg_moore round keeps the sparse_kernel vectors of d_F on
+    # F^1 that are nonzero on the generators of the previous round; the
+    # reference takes the cocycles from a dense Mat and keeps those at the
+    # pivots of [B^1 | Z^1].  The representatives, and so the resolutions,
+    # must be the same.
+    package = resolution_module._fresh_classes
     rounds = []
 
-    def compared(spec, rows, degree):
-        cocycles, coboundaries = package(spec, rows, degree)
-        assert degree == 1
-        assert cocycles == ref_h1_representatives(spec, rows), (spec, len(rows))
-        rounds.append(len(cocycles))
-        return cocycles, coboundaries
+    def compared(spec, rows, fresh):
+        reps = package(spec, rows, fresh)
+        assert reps == ref_h1_representatives(spec, rows), (spec, len(rows))
+        rounds.append(len(reps))
+        return reps
 
-    monkeypatch.setattr(resolution_module, "complex_classes", compared)
+    monkeypatch.setattr(resolution_module, "_fresh_classes", compared)
     mats = list(SIX_REPRESENTATIVES.values())
     mats += [Mat(rows) for name, rows in GOLDEN_MATRICES.items() if name.endswith("_image")]
     for m in mats:
@@ -200,6 +203,17 @@ def test_h1_representatives_match_dense_kernel(monkeypatch):
         assert complete, m
     # Every build ends with a round that finds no class.
     assert rounds.count(0) == len(mats) and len(rounds) > 2 * len(mats)
+
+
+@settings(max_examples=40, deadline=None)
+@given(low_rank_matrices(min_n=2), st.sampled_from([1, 3, 8, 64]))
+def test_fresh_classes_build_the_pivot_grid(case, max_size):
+    # The fresh kernel vectors of a round are the classes that the column
+    # pivots of [B^1 | Z^1] pick, in the same order, so both builders give
+    # the same grid, and stop at the same size cap.
+    m, _ = case
+    spec = DgSpec(m)
+    assert eilenberg_moore(spec, max_size) == ref_eilenberg_moore(spec, max_size), (m, max_size)
 
 
 def test_mutated_entry_degree_fails_minimality():
@@ -260,11 +274,36 @@ def test_published_fixtures_m1_m6_verify_others_fail():
         assert check.cohomology_dims[1] == 1, name
 
 
+def _column_zero_image(ext, mats):
+    """The reference algebra on the dense commutant basis `mats`, and the
+    coordinates in ext of each of its basis elements: ext's basis element b_t
+    has column 0 equal to e_t, so a matrix a has the coordinates a e_0.
+    Asserts that a -> a e_0 carries the reference unit and constants onto
+    ext's."""
+    ref = FinAlg(*ref_matrix_algebra(mats))
+    dim = ext.dim
+    assert ref.dim == dim
+    to_ext = [tuple(mat[t, 0] for t in range(dim)) for mat in mats]
+    assert Mat(to_ext).rank() == dim
+
+    def image(x):
+        return tuple(sum(x[s] * to_ext[s][t] for s in range(dim)) for t in range(dim))
+
+    assert ext.unit == image(ref.unit)
+    for i, (pi, ri) in enumerate(zip(to_ext, ref.structure)):
+        for j, pj in enumerate(to_ext):
+            coords = [Q(0)] * dim
+            for k, c in ri[j]:
+                coords[k] = c
+            assert ext.multiply(pi, pj) == image(coords), (i, j)
+    return ref, image
+
+
 def test_ext_algebra_matches_dense_commutant(representative_resolutions):
-    # ext_algebra solves the commutant on sparse rows and multiplies its
-    # basis as sparse rows; the reference writes one dense row per equation
-    # and forms the structure constants from dense Mat products.  Both must
-    # give the same kernel basis, hence the same unit and constants.
+    # ext_algebra reads the constants of the commutant off column 0 of its
+    # basis; the reference writes one dense row per equation, takes the
+    # dense kernel basis, and forms the constants from dense Mat products.
+    # The two algebras must agree through a -> a e_0.
     cases = [(name, data["resolution"]) for name, data in representative_resolutions.items()]
     cases.append(("published M1", published_resolution("M1")))
     cases.append(("1.2.4/a", build_resolution(Mat(SUBCASE_BATTERY["1.2.4"][0]))))
@@ -278,8 +317,20 @@ def test_ext_algebra_matches_dense_commutant(representative_resolutions):
         cases.append((name, SemifreeResolution(spec, grid, None)))
     for name, res in cases:
         ext = ext_algebra(res)
-        ref = FinAlg(*ref_matrix_algebra(commutant_matrices(res)))
-        assert (ext.dim, ext.unit, ext.structure) == (ref.dim, ref.unit, ref.structure), name
+        assert ext.unit == (1,) + (0,) * (ext.dim - 1), name
+        _column_zero_image(ext, commutant_matrices(res))
+
+
+def test_ext_algebra_needs_column_zero_to_determine_the_commutant():
+    # A generator e with d(e) = 0 appended to a resolution leaves a grid
+    # whose commutant holds the projection onto e, whose column 0 is zero.
+    for rows in ([[0, 1, 0], [0, 0, 0], [0, 0, 0]], GOLDEN_MATRICES["M1_image"]):
+        res = build_resolution(Mat(rows))
+        zero = SkewElement.zero(3)
+        grid = [row + [zero] for row in res.d] + [[zero] * (res.size + 1)]
+        bad = SemifreeResolution(res.spec, grid, res.subcase)
+        with pytest.raises(InternalConsistencyError, match="column 0 does not determine"):
+            ext_algebra(bad)
 
 
 def test_complex_dims_match_dense_reference(representative_resolutions):
@@ -342,11 +393,12 @@ def test_complex_columns_match_per_term_reference(monkeypatch):
 
 
 def test_ext_algebra_sparse_build_matches_dense_constructor():
-    # ext_algebra reads the structure constants of FinAlg.from_sparse_matrices
-    # straight off the reduced system; FinAlg(dim, unit, dense constants)
-    # stores them from dense vectors, here the reference's dense constants
-    # of the dense commutant.  Both must give the same algebra, unit and
-    # radical series on the Ext algebra of every golden input.
+    # ext_algebra hands FinAlg the constants as sparse pairs; FinAlg(dim,
+    # unit, dense constants) stores them from dense vectors, here the
+    # reference's dense constants of the dense commutant.  On the Ext
+    # algebra of every golden input both must agree through a -> a e_0, with
+    # the same radical series: a -> a e_0 carries each reference power onto
+    # ext's.
     seen = 0
     for name, rows in GOLDEN_MATRICES.items():
         if len(rows) != 3:
@@ -355,9 +407,13 @@ def test_ext_algebra_sparse_build_matches_dense_constructor():
         if isinstance(built, InfinitePattern):
             continue
         ext = ext_algebra(built)
-        dense = FinAlg(*ref_matrix_algebra(commutant_matrices(built)))
-        assert (dense.structure, dense.unit, dense.radical_powers) == \
-            (ext.structure, ext.unit, ext.radical_powers), name
+        dense, image = _column_zero_image(ext, commutant_matrices(built))
+        assert len(dense.radical_powers) == len(ext.radical_powers), name
+        for mine, theirs in zip(ext.radical_powers, dense.radical_powers):
+            mapped = [image(v) for v in theirs]
+            assert len(mine) == len(theirs), name
+            if mine:
+                assert Mat(list(mine)).rank() == Mat(list(mine) + mapped).rank(), name
         seen += 1
     assert seen == 29
 
