@@ -27,8 +27,8 @@ class FinAlg:
 
     structure[i][j] holds the nonzero constants of b_i b_j as (k, c[i][j][k])
     pairs in increasing k.  radical_powers holds the bases of rad, rad^2, ...,
-    ending with the first empty power; it is computed once, when the algebra
-    is built.  The socle is computed on first use and kept.
+    ending with the first empty power, and _rad_gens the generators of rad;
+    both are computed when the algebra is built, the socle on first use.
     """
 
     __slots__ = ("dim", "unit", "structure", "radical_powers", "_rad_gens", "_socle")
