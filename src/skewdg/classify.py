@@ -57,7 +57,7 @@ def _vec_sq(u: Sequence) -> tuple:
 
 
 def _null_vector(rows) -> tuple:
-    """The kernel of a rank-2 3x3 matrix with these rows, as kernel_basis
+    """The kernel of a rank-2 3x3 matrix with these rows, as sparse_kernel
     gives it: the cross product of two independent rows cleared of
     denominators, divided by its first nonzero coordinate."""
     for a, b in combinations([_integral(dict(enumerate(row))) for row in rows], 2):

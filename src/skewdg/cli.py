@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .classify import classify, theorem_c
 from .dg import DgSpec, InternalConsistencyError, cy_probe, koszul_dims
-from .finalg import FinAlg, AlgebraError, frobenius, radical_filtration, recognize_truncated, socle_dim
+from .finalg import FinAlg, AlgebraError, frobenius, recognize_truncated, socle_dim
 from .linalg import Mat, sparse_matmul
 from .qpl import UnsupportedSize, aut_group, iso_solve
 from .report import analyze
@@ -213,7 +213,7 @@ def cmd_ext(args) -> int:
     frob = frobenius(ext, seed=args.seed)
     emit({"check": "ext", "dim": ext.dim,
           "socle_dim": socle_dim(ext) if ext.is_local() else None,
-          "radical_filtration": radical_filtration(ext),
+          "radical_filtration": ext.radical_filtration(),
           "truncated_polynomial": recognize_truncated(ext),
           "frobenius": frob.as_dict()}, args.pretty)
     return EXIT_OK
@@ -225,7 +225,7 @@ def cmd_frobenius(args) -> int:
     record = {"check": "frobenius", "dim": alg.dim, **verdict.as_dict()}
     if alg.is_commutative() and alg.is_local():
         record["socle_dim"] = socle_dim(alg)
-        record["radical_filtration"] = radical_filtration(alg)
+        record["radical_filtration"] = alg.radical_filtration()
         record["truncated_polynomial"] = recognize_truncated(alg)
     emit(record, args.pretty)
     return EXIT_OK

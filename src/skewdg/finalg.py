@@ -189,24 +189,8 @@ def _terms(v: Sequence) -> list:
     return [(i, x) for i, x in enumerate(v) if x]
 
 
-def sklyanin_e(lam, mu, nu) -> FinAlg:
-    """The four-dimensional commutative family on 1, e1, e2, e3 with
-    e1 e1 = lam e3, e1 e2 = nu e3, e2 e2 = mu e3 and e3 annihilating the
-    radical."""
-    structure = [[[0] * 4 for _ in range(4)] for _ in range(4)]
-    for i in range(4):
-        structure[0][i][i] = structure[i][0][i] = 1
-    structure[1][1][3], structure[2][2][3] = lam, mu
-    structure[1][2][3] = structure[2][1][3] = nu
-    return FinAlg(4, (1, 0, 0, 0), structure)
-
-
 def socle_dim(e: FinAlg) -> int:
     return len(e.socle_basis())
-
-
-def radical_filtration(e: FinAlg) -> list[int]:
-    return e.radical_filtration()
 
 
 @dataclass

@@ -109,55 +109,8 @@ class Mat:
     def T(self) -> "Mat":
         return self.transpose()
 
-    def __add__(self, other: "Mat") -> "Mat":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("dimension mismatch")
-        return Mat([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)])
-
-    def __sub__(self, other: "Mat") -> "Mat":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("dimension mismatch")
-        return Mat([[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)])
-
-    def __mul__(self, other):
-        if isinstance(other, Mat):
-            if self.cols != other.rows:
-                raise ValueError("dimension mismatch")
-            out = []
-            for row in self.data:  # zero terms are skipped
-                acc = [0] * other.cols
-                for a, orow in zip(row, other.data):
-                    if a:
-                        for j, b in enumerate(orow):
-                            if b:
-                                acc[j] += a * b
-                out.append(acc)
-            return Mat(out)
-        c = frac(other)
-        return Mat([[c * x for x in row] for row in self.data])
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def apply(self, vector: Sequence) -> tuple:
-        """Matrix times column vector."""
-        if len(vector) != self.cols:
-            raise ValueError("dimension mismatch")
-        vec = [frac(x) for x in vector]
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.data)
-
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.data for x in row)
-
-    def inverse(self) -> "Mat":
-        if self.rows != self.cols:
-            raise ValueError("inverse of non-square matrix")
-        n = self.rows
-        aug = Mat([list(self.data[i]) + [1 if i == j else 0 for j in range(n)] for i in range(n)])
-        red, rank, pivots = rref(aug)
-        if pivots[:n] != list(range(n)):
-            raise ValueError("matrix is singular")
-        return Mat([row[n:] for row in red.data])
 
     def rank(self) -> int:
         if self._rank is None:
@@ -168,8 +121,8 @@ class Mat:
 # ---------------------------------------------------------------------------
 # The elimination core.  Rows are sparse integer rows {column: nonzero int}:
 # rational rows are cleared of denominators, then reduced by fraction-free
-# integer elimination; rank, column pivots and rref (and through it kernels,
-# solutions and inverses) all read off the same echelon.
+# integer elimination; rank, column pivots, rref, kernels and solutions all
+# read off the same echelon.
 # ---------------------------------------------------------------------------
 
 
@@ -337,21 +290,6 @@ def sparse_rref(rows: Iterable[dict]) -> tuple[list[dict], list[int]]:
     return [{j: Q(x, row[p]) for j, x in row.items()} for row, p in zip(red, pivots)], pivots
 
 
-def rref(a: Mat) -> tuple[Mat, int, list[int]]:
-    """Reduced row echelon form: (reduced, rank, pivot_columns), the rows of
-    sparse_rref laid out densely."""
-    red, pivots = sparse_rref(sparse_rows(a.data))
-    zero = Q(0)
-    dense = []
-    for row in red:
-        out = [zero] * a.cols
-        for j, x in row.items():
-            out[j] = x
-        dense.append(out)
-    dense += [[zero] * a.cols] * (a.rows - len(pivots))
-    return Mat._exact(dense, a.cols), len(pivots), pivots
-
-
 def _kernel_from_rref(red: list[dict], pivots: list[int], ncols: int) -> list[tuple]:
     """Nullspace basis of the first ncols columns of the _reduced int rows
     `red` with pivot columns `pivots`, each vector scaled so its first
@@ -388,15 +326,10 @@ def sparse_kernel(rows: Iterable[dict], ncols: int) -> list[tuple]:
     return _kernel_from_rref(*_reduced(rows), ncols)
 
 
-def kernel_basis(a: Mat) -> list[tuple]:
-    """Basis of the nullspace {v : a.v = 0}: sparse_kernel on a's rows."""
-    return sparse_kernel(sparse_rows(a.data), a.cols)
-
-
 def solve_linear(a: Mat, b: Sequence) -> tuple[Optional[tuple], list[tuple]]:
     """Solve a.x = b exactly.
 
-    Returns (particular, kernel_basis); particular is None iff the system is
+    Returns (particular, kernel); particular is None iff the system is
     inconsistent.  The particular solution is canonical: free variables are
     set to zero (RREF back-substitution).  One elimination serves both: the
     first a.cols columns of the reduced augmented rows [a | b] are the
@@ -418,17 +351,6 @@ def solve_linear(a: Mat, b: Sequence) -> tuple[Optional[tuple], list[tuple]]:
         if a.cols in row:
             x[p] = Q(row[a.cols], row[p])
     return tuple(x), kernel
-
-
-def in_span(vectors: Sequence[Sequence], v: Sequence) -> bool:
-    """True iff v lies in the linear span of the given columns."""
-    vecs = list(vectors)
-    if not vecs:
-        return all(frac(x) == 0 for x in v)
-    if any(len(u) != len(v) for u in vecs):
-        raise ValueError("dimension mismatch")
-    particular, _ = solve_linear(Mat.from_columns(vecs), v)
-    return particular is not None
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ from math import lcm
 from .classify import CaseLabel, classify, quadric_coefficients, theorem_c
 from .dg import DgSpec, InternalConsistencyError, _complex_columns, complex_cohomology_dims
 from .finalg import AlgebraError, FinAlg
-from .linalg import Mat, Q, frac, sparse_kernel, sparse_rref, sparse_transpose
-from .skew import SkewElement, graded_basis, mono_mul, parse_element
+from .linalg import Mat, Q, sparse_kernel, sparse_rref, sparse_transpose
+from .skew import SkewElement, graded_basis, mono_mul
 
 
 class UnsupportedCase(ValueError):
@@ -44,19 +44,6 @@ class SemifreeResolution:
             "subcase": self.subcase.as_dict(),
             "rows": [[str(self.d[j][l]) for l in range(j)] for j in range(self.size)],
         }
-
-
-def resolution_from_dict(data: dict) -> SemifreeResolution:
-    """Re-parse the stable textual serialization produced by as_dict()."""
-    mat = Mat([[frac(x) for x in row] for row in data["matrix"]])
-    spec = DgSpec(mat)
-    size = data["size"]
-    zero = SkewElement.zero(spec.n)
-    grid = [[zero for _ in range(size)] for _ in range(size)]
-    for j, row in enumerate(data["rows"]):
-        for l, text in enumerate(row):
-            grid[j][l] = parse_element(text, spec.n)
-    return SemifreeResolution(spec, grid, classify(mat))
 
 
 @dataclass
@@ -207,7 +194,7 @@ def eilenberg_moore(spec: DgSpec, max_size: int = 64):
     return _square_grid(spec, rows), True
 
 
-# -- the published equality-case fixtures ------------------------------------------
+# -- the equality-case representatives ----------------------------------------------
 
 
 # The paper's six rank-1 representatives M1-M6, whose resolution sizes and
@@ -220,57 +207,6 @@ SIX_REPRESENTATIVES = {
     "M5": Mat([[1, 1, 0], [1, 1, 0], [0, 0, 0]]),
     "M6": Mat([[1, 1, 0], [0, 0, 0], [1, 1, 0]]),
 }
-
-# Published differential grids for the six representatives.  Only M1 and M6
-# pass the exactness check; the other four stop short of killing the cocycle
-# classes that mix the second degree-one cohomology generator into the
-# staircase, so they are kept as regression fixtures and NOT emitted as
-# resolutions (see tests for the falsification data).
-PUBLISHED_GRIDS = {
-    "M1": [
-        ["x2"],
-        ["x3", "0"],
-        ["0", "x3", "x2"],
-        ["x1", "x2", "x3", "0"],
-        ["0", "0", "x1", "x2", "x3"],
-        ["0", "x1", "0", "x3", "x2", "0"],
-        ["0", "0", "0", "x1", "0", "x2", "x3"],
-    ],
-    "M2": [
-        ["x2"],
-        ["x3", "0"],
-        ["x1", "x2", "0"],
-        ["0", "x1", "0", "x2"],
-    ],
-    "M3": [
-        ["x1 - x2"],
-        ["x3", "0"],
-        ["x1", "x1 - x2", "x3"],
-    ],
-    "M4": [
-        ["x2"],
-        ["x1 - x3", "0"],
-        ["x1", "x2", "0"],
-        ["0", "x1", "0", "x2"],
-    ],
-    "M5": [
-        ["x3"],
-        ["x1 - x2", "0"],
-        ["0", "x1 - x2", "x3"],
-    ],
-    "M6": [
-        ["x2"],
-        ["x1 - x3", "0"],
-        ["0", "x1 - x3", "x2"],
-    ],
-}
-
-
-def published_resolution(name: str) -> SemifreeResolution:
-    """The grid exactly as published, for comparison and falsification."""
-    spec = DgSpec(SIX_REPRESENTATIVES[name])
-    rows = [[]] + [[parse_element(s, 3) for s in line] for line in PUBLISHED_GRIDS[name]]
-    return SemifreeResolution(spec, _square_grid(spec, rows), classify(spec.m))
 
 
 def build_resolution(m: Mat, truncate: int = 8):

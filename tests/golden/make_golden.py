@@ -89,10 +89,11 @@ def _unital(dim, products):
                      **products})
 
 
-# Inputs of `frobenius`: k[x]/(x^4) on 1, x, x^2, x^3; sklyanin_e(1, 1, 0)
-# on 1, e1, e2, e3; k + the strictly upper triangular 3 x 3 matrices on 1,
-# E01, E02, E12 (local, not commutative: the randomized path); and M_2(k) on
-# E00, E01, E10, E11 (not local).
+# Inputs of `frobenius`: k[x]/(x^4) on 1, x, x^2, x^3; the algebra of
+# reference_finalg.ref_sklyanin_table(1, 1, 0) on 1, e1, e2, e3; k + the
+# strictly upper triangular 3 x 3 matrices on 1, E01, E02, E12 (local, not
+# commutative: the randomized path); and M_2(k) on E00, E01, E10, E11 (not
+# local).
 ALGEBRAS = {
     "alg_trunc4": _unital(4, {(i, j): i + j for i in range(1, 4) for j in range(1, 4) if i + j < 4}),
     "alg_sklyanin_110": _unital(4, {(1, 1): 3, (2, 2): 3}),

@@ -4,14 +4,16 @@ left-multiplication matrices, and dense structure constants.
 The radical is the kernel of the Gram matrix tr(L_i L_j), with each L_i L_j
 formed as a matrix product, instead of the package's closed formula in the
 structure constants.  ref_trace_gram is the closed formula the package used
-before it read the Gram off tr(L_k): sum_{k,l} c[i][l][k] c[j][k][l].  The socle is intersected with the radical explicitly,
-and the truncated-polynomial generator is lifted by solving against rad^2.
+before it read the Gram off tr(L_k): sum_{k,l} c[i][l][k] c[j][k][l].  The
+socle is intersected with the radical explicitly, and the truncated-polynomial
+generator is lifted by solving against rad^2.  Every elimination here is the
+Fraction Gauss-Jordan of reference_linalg, not the package's integer echelon.
 Every function takes the radical basis from ref_radical_basis so that a
 caller computes it once per algebra.
 
 The package stores structure constants sparse; ref_multiply multiplies on a
 dense table c[i][j][k], and ref_matrix_algebra builds that table for a span
-of matrices with dense Mat products and one rref.  from_sparse_matrices
+of matrices with dense products and one ref_rref.  from_sparse_matrices
 builds the FinAlg of such a span with sparse products and one sparse_rref,
 checking that the span is independent, holds the identity and is closed;
 from_matrix_algebra is the same on dense Mats.
@@ -19,9 +21,11 @@ from_matrix_algebra is the same on dense Mats.
 
 import random
 
+from reference_linalg import (ref_column_pivots, ref_kernel_basis, ref_matmul, ref_rank, ref_rref,
+                              ref_solve_linear)
+
 from skewdg.finalg import AlgebraError, FinAlg
-from skewdg.linalg import (Mat, Q, kernel_basis, rref, solve_linear, sparse_matmul, sparse_rows,
-                           sparse_rref, sparse_transpose)
+from skewdg.linalg import Mat, Q, sparse_matmul, sparse_rows, sparse_rref, sparse_transpose
 
 
 def _basis_vec(e, i):
@@ -29,15 +33,19 @@ def _basis_vec(e, i):
 
 
 def _left_mult_matrix(e, x):
-    return Mat.from_columns([e.multiply(x, _basis_vec(e, j)) for j in range(e.dim)])
+    return Mat.from_columns([e.multiply(x, _basis_vec(e, j)) for j in range(e.dim)]).data
 
 
 def _span_basis(vectors):
     vecs = [tuple(v) for v in vectors if any(x != 0 for x in v)]
     if not vecs:
         return []
-    _, _, pivots = rref(Mat.from_columns(vecs))
-    return [vecs[p] for p in pivots]
+    return [vecs[p] for p in ref_column_pivots(vecs, len(vecs[0]))]
+
+
+def _in_span(vectors, v):
+    """True iff v lies in the span of the nonempty list of vectors."""
+    return ref_solve_linear(Mat.from_columns(vectors).data, len(vectors), v)[0] is not None
 
 
 def ref_radical_basis(e):
@@ -48,10 +56,10 @@ def ref_radical_basis(e):
     for i in range(m):
         row = []
         for j in range(m):
-            prod = lm[i] * lm[j]
-            row.append(sum(prod[k, k] for k in range(m)))
+            prod = ref_matmul(lm[i], lm[j], m)
+            row.append(sum(prod[k][k] for k in range(m)))
         gram.append(row)
-    return kernel_basis(Mat(gram))
+    return ref_kernel_basis(gram, m)
 
 
 def ref_trace_gram(e):
@@ -83,12 +91,11 @@ def ref_socle_basis(e, rad):
     m = e.dim
     rows = []
     for r in rad:
-        rows.extend(_left_mult_matrix(e, r).data)
+        rows.extend(_left_mult_matrix(e, r))
         rows.extend(Mat.from_columns([e.multiply(_basis_vec(e, j), r) for j in range(m)]).data)
     if not rows:
         return [_basis_vec(e, i) for i in range(m)]
-    rad_mat = Mat.from_columns(rad)
-    return [v for v in kernel_basis(Mat(rows)) if solve_linear(rad_mat, v)[0] is not None]
+    return [v for v in ref_kernel_basis(rows, m) if _in_span(rad, v)]
 
 
 def ref_recognize_truncated(e, rad):
@@ -100,7 +107,7 @@ def ref_recognize_truncated(e, rad):
     rad2 = _span_basis([e.multiply(x, y) for x in rad for y in rad])
     gen = None
     for v in rad:
-        if not rad2 or solve_linear(Mat.from_columns(rad2), v)[0] is None:
+        if not rad2 or not _in_span(rad2, v):
             gen = v
             break
     if gen is None:
@@ -113,11 +120,11 @@ def ref_recognize_truncated(e, rad):
     return e.dim
 
 
-def _ref_gram(e, functional):
+def _ref_gram_rank(e, functional):
     m = e.dim
-    return Mat([[sum(f * c for f, c in zip(functional,
-                                           e.multiply(_basis_vec(e, i), _basis_vec(e, j))))
-                 for j in range(m)] for i in range(m)])
+    return ref_rank([[sum(f * c for f, c in zip(functional,
+                                                e.multiply(_basis_vec(e, i), _basis_vec(e, j))))
+                      for j in range(m)] for i in range(m)], m)
 
 
 def ref_frobenius(e, rad, trials=64, seed=0):
@@ -134,17 +141,17 @@ def ref_frobenius(e, rad, trials=64, seed=0):
                                           e.multiply(_basis_vec(e, j), _basis_vec(e, i)))]
             if any(diff):
                 rows.append(diff)
-    sym_space = kernel_basis(Mat(rows)) if rows else [_basis_vec(e, i) for i in range(m)]
+    sym_space = ref_kernel_basis(rows, m)
     rng = random.Random(seed)
     found = found_sym = None
     for _ in range(trials):
         functional = tuple(Q(rng.randint(-9, 9)) for _ in range(m))
-        if found is None and _ref_gram(e, functional).rank() == m:
+        if found is None and _ref_gram_rank(e, functional) == m:
             found = functional
         if sym_space and found_sym is None:
             coeffs = [Q(rng.randint(-9, 9)) for _ in sym_space]
             cand = tuple(sum(c * v[k] for c, v in zip(coeffs, sym_space)) for k in range(m))
-            if _ref_gram(e, cand).rank() == m:
+            if _ref_gram_rank(e, cand) == m:
                 found_sym = cand
         if found is not None and found_sym is not None:
             break
@@ -167,14 +174,19 @@ def ref_multiply(table, x, y):
 
 
 def ref_sklyanin_table(lam, mu, nu):
-    """Dense constants of sklyanin_e on 1, e1, e2, e3: e1 e1 = lam e3,
-    e1 e2 = e2 e1 = nu e3, e2 e2 = mu e3, every other product of radical
-    elements zero."""
+    """Dense constants of the four-dimensional commutative family on 1, e1,
+    e2, e3: e1 e1 = lam e3, e1 e2 = e2 e1 = nu e3, e2 e2 = mu e3, every other
+    product of radical elements zero."""
     table = [[[0] * 4 for _ in range(4)] for _ in range(4)]
     for i in range(4):
         table[0][i][i] = table[i][0][i] = 1
     table[1][1][3], table[1][2][3], table[2][1][3], table[2][2][3] = lam, nu, nu, mu
     return table
+
+
+def sklyanin_algebra(lam, mu, nu):
+    """The FinAlg with the constants of ref_sklyanin_table and the unit 1."""
+    return FinAlg(4, (1, 0, 0, 0), ref_sklyanin_table(lam, mu, nu))
 
 
 def ref_matrix_algebra(mats):
@@ -184,10 +196,11 @@ def ref_matrix_algebra(mats):
     size = mats[0].rows
     cols = [[x for row in mat.data for x in row] for mat in mats]
     cols.append([Q(1) if i == j else Q(0) for i in range(size) for j in range(size)])
-    cols += [[x for row in (a * b).data for x in row] for a in mats for b in mats]
-    red, _, pivots = rref(Mat.from_columns(cols))
+    cols += [[x for row in ref_matmul(a.data, b.data, size) for x in row]
+             for a in mats for b in mats]
+    red, _, pivots = ref_rref(Mat.from_columns(cols).data, len(cols))
     assert pivots == list(range(dim)), pivots
-    coords = [red.column(t)[:dim] for t in range(dim, len(cols))]
+    coords = [[red[i][t] for i in range(dim)] for t in range(dim, len(cols))]
     return dim, coords[0], [coords[1 + i * dim: 1 + (i + 1) * dim] for i in range(dim)]
 
 

@@ -31,7 +31,7 @@ def ref_rref(data, ncols):
         for i in range(nrows):
             if i != r and m[i][c] != 0:
                 f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+                m[i] = [x - f * y if y else x for x, y in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
     return m, len(pivots), pivots
@@ -98,6 +98,18 @@ def ref_inverse(data):
     if pivots[:n] != list(range(n)):
         return None
     return [row[n:] for row in red]
+
+
+def ref_matmul(a, b, ncols):
+    """Rows of the product of the lists of rows a and b, b with ncols columns."""
+    out = [[Q(0)] * ncols for _ in a]
+    for acc, row in zip(out, a):
+        for x, brow in zip(row, b):
+            if x:
+                for j, y in enumerate(brow):
+                    if y:
+                        acc[j] += x * y
+    return out
 
 
 def ref_rank(data, ncols):

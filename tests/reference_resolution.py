@@ -16,8 +16,10 @@ shift table kept per (n, degree).
 commutant_matrices solves the Ext commutant with one dense row of m^2
 Fractions per equation; the package solves the same system on sparse rows.
 ref_h1_representatives takes the H^1(F) cocycles from the kernel of a dense
-Mat, and ref_square_zero_failures forms every product d[j][k] d[k][l], zero
+matrix, and ref_square_zero_failures forms every product d[j][k] d[k][l], zero
 factors included; the package takes a sparse kernel and skips zero factors.
+Kernels and solutions here come from the Fraction Gauss-Jordan of
+reference_linalg, not from the package's integer echelon.
 ref_eilenberg_moore kills H^1 with the classes at the column pivots of
 [B^1 | Z^1] in every round; the package keeps the kernel vectors that are
 nonzero on the generators of the previous round.
@@ -25,14 +27,14 @@ nonzero on the generators of the previous round.
 
 from fractions import Fraction as Q
 
-from reference_linalg import ref_column_pivots
+from reference_linalg import ref_column_pivots, ref_kernel_basis, ref_solve_linear
 
 from skewdg.classify import RANK1, RANK2_DEGENERATE, classify, quadric_coefficients
 from skewdg.dg import DgSpec, complex_classes
-from skewdg.linalg import Mat, kernel_basis, solve_linear
+from skewdg.linalg import Mat
 from skewdg.qpl import QplMatrix, chi
-from skewdg.resolution import SemifreeResolution, _square_grid
-from skewdg.skew import SkewElement, graded_basis, mono_mul
+from skewdg.resolution import SIX_REPRESENTATIVES, SemifreeResolution, _square_grid
+from skewdg.skew import SkewElement, graded_basis, mono_mul, parse_element
 
 
 def coefficient_vector(elt, d, basis=None):
@@ -116,10 +118,8 @@ def commutant_matrices(res):
                         row[k * m + l] -= c
                 if any(row):
                     eqs.append(row)
-    basis_vecs = kernel_basis(Mat(eqs)) if eqs else [
-        tuple(Q(1) if idx == p else Q(0) for idx in range(m * m)) for p in range(m * m)
-    ]
-    return [Mat([[v[j * m + l] for l in range(m)] for j in range(m)]) for v in basis_vecs]
+    return [Mat([[v[j * m + l] for l in range(m)] for j in range(m)])
+            for v in ref_kernel_basis(eqs, m * m)]
 
 
 def ref_h1_representatives(spec, rows):
@@ -128,8 +128,9 @@ def ref_h1_representatives(spec, rows):
     n = spec.n
     m = len(rows)
     basis1 = graded_basis(n, 1)
-    cocycles = kernel_basis(Mat.from_sparse_columns(ref_complex_columns(spec, rows, 1),
-                                                    m * len(graded_basis(n, 2))))
+    columns = ref_complex_columns(spec, rows, 1)
+    cocycles = ref_kernel_basis(Mat.from_sparse_columns(columns, m * len(graded_basis(n, 2))).data,
+                                len(columns))
     bound = []
     for j in range(m):
         col = [Q(0)] * (m * n)
@@ -255,7 +256,7 @@ def quadric_rows(spec, label):
     if any(c != 0 for mono, c in target.terms.items() if sorted(mono) != [0, 0, 2]):
         raise ValueError("quadric value left the square-form span")
     rhs = coefficient_vector(target, 2, [(2, 0, 0), (0, 2, 0), (0, 0, 2)])
-    w_vec, _ = solve_linear(spec.m.T, rhs)
+    w_vec, _ = ref_solve_linear(spec.m.T.data, n, rhs)
     if w_vec is None:
         raise ValueError("quadric relation is not a coboundary")
     w = SkewElement.linear(w_vec, n)
@@ -285,3 +286,55 @@ def reference_resolution(m):
         return (SemifreeResolution(spec, grid, label), named,
                 quadric_coefficients(label.params))
     raise ValueError("no closed formula for %s case %s" % (label.branch, label.coh_case))
+
+
+# Published differential grids for the six representatives.  Only M1 and M6
+# pass the exactness check; the other four stop short of killing the cocycle
+# classes that mix the second degree-one cohomology generator into the
+# staircase, so they are kept as the falsification data of acceptance
+# criteria 6 and 7 and are never emitted as resolutions.
+PUBLISHED_GRIDS = {
+    "M1": [
+        ["x2"],
+        ["x3", "0"],
+        ["0", "x3", "x2"],
+        ["x1", "x2", "x3", "0"],
+        ["0", "0", "x1", "x2", "x3"],
+        ["0", "x1", "0", "x3", "x2", "0"],
+        ["0", "0", "0", "x1", "0", "x2", "x3"],
+    ],
+    "M2": [
+        ["x2"],
+        ["x3", "0"],
+        ["x1", "x2", "0"],
+        ["0", "x1", "0", "x2"],
+    ],
+    "M3": [
+        ["x1 - x2"],
+        ["x3", "0"],
+        ["x1", "x1 - x2", "x3"],
+    ],
+    "M4": [
+        ["x2"],
+        ["x1 - x3", "0"],
+        ["x1", "x2", "0"],
+        ["0", "x1", "0", "x2"],
+    ],
+    "M5": [
+        ["x3"],
+        ["x1 - x2", "0"],
+        ["0", "x1 - x2", "x3"],
+    ],
+    "M6": [
+        ["x2"],
+        ["x1 - x3", "0"],
+        ["0", "x1 - x3", "x2"],
+    ],
+}
+
+
+def published_resolution(name):
+    """The grid exactly as published, for comparison and falsification."""
+    spec = DgSpec(SIX_REPRESENTATIVES[name])
+    rows = [[]] + [[parse_element(s, 3) for s in line] for line in PUBLISHED_GRIDS[name]]
+    return SemifreeResolution(spec, _square_grid(spec, rows), classify(spec.m))

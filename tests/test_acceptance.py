@@ -22,14 +22,15 @@ import pytest
 from conftest import (COHOMOLOGY_CASE_REPS, ERRATUM_1_1, NOT_CY, PLANAR_FAMILIES,
                       SUBCASE_BATTERY, SUBCASE_EXT, SUBCASE_SIZE, fresh_minimal_size,
                       product_rule_size)
+from reference_finalg import sklyanin_algebra
+from reference_resolution import published_resolution
 from skewdg.classify import classify, presentation_of, presented_dims, theorem_c
 from skewdg.dg import DgSpec, cy_probe
-from skewdg.finalg import frobenius, recognize_truncated, sklyanin_e, socle_dim
+from skewdg.finalg import frobenius
 from skewdg.linalg import Mat
 from skewdg.qpl import QplMatrix, chi, is_quasi_permutation, iso_solve
 from skewdg.report import analyze, n2_presentation
-from skewdg.resolution import (SIX_REPRESENTATIVES, build_resolution, ext_algebra,
-                               published_resolution, verify_resolution)
+from skewdg.resolution import SIX_REPRESENTATIVES, build_resolution, verify_resolution
 from skewdg.skew import SkewElement, graded_basis
 
 
@@ -281,7 +282,7 @@ def test_criterion_08_symmetry_grid():
     for lam in range(-2, 3):
         for mu in range(-2, 3):
             for nu in range(-2, 3):
-                alg = sklyanin_e(lam, mu, nu)
+                alg = sklyanin_algebra(lam, mu, nu)
                 verdict = frobenius(alg)
                 expected = lam * mu - nu * nu != 0
                 if verdict.frobenius != expected:

@@ -5,17 +5,9 @@ from fractions import Fraction as Q
 
 import pytest
 
-from skewdg.finalg import (
-    AlgebraError,
-    FinAlg,
-    frobenius,
-    radical_filtration,
-    recognize_truncated,
-    sklyanin_e,
-    socle_dim,
-)
+from skewdg.finalg import AlgebraError, FinAlg, frobenius, recognize_truncated, socle_dim
 from skewdg.linalg import Mat
-from skewdg.resolution import build_resolution, ext_algebra, published_resolution
+from skewdg.resolution import ext_algebra
 
 from reference_finalg import (
     from_matrix_algebra,
@@ -29,7 +21,10 @@ from reference_finalg import (
     ref_sklyanin_table,
     ref_socle_basis,
     ref_trace_gram,
+    sklyanin_algebra,
 )
+from reference_linalg import ref_inverse
+from reference_resolution import published_resolution
 
 
 def truncated_poly(m):
@@ -47,7 +42,7 @@ def test_make_algebra_truncated_poly():
     alg = FinAlg(*truncated_poly(4))
     assert alg.dim == 4
     assert socle_dim(alg) == 1
-    assert radical_filtration(alg) == [1, 1, 1, 1]
+    assert alg.radical_filtration() == [1, 1, 1, 1]
     assert recognize_truncated(alg) == 4
 
 
@@ -90,7 +85,8 @@ def test_multiply_matches_dense_reference():
     cases = [("k[x]/(x^%d)" % m, FinAlg(*truncated_poly(m)), truncated_poly(m)[2])
              for m in range(1, 9)]
     for params in ((0, 0, 0), (1, 1, 0), (1, 2, 1), (2, -1, 3), (Q(1, 2), 3, Q(-2, 3))):
-        cases.append(("sklyanin%s" % (params,), sklyanin_e(*params), ref_sklyanin_table(*params)))
+        cases.append(("sklyanin%s" % (params,), sklyanin_algebra(*params),
+                      ref_sklyanin_table(*params)))
     for name, mats in _matrix_algebras():
         dim, unit, table = ref_matrix_algebra(mats)
         alg = from_matrix_algebra(mats)
@@ -115,17 +111,17 @@ def test_commutant_of_published_first_representative_is_valid():
     alg = ext_algebra(res)
     assert alg.dim == 8
     assert socle_dim(alg) == 1
-    assert radical_filtration(alg) == [1, 2, 2, 2, 1]
+    assert alg.radical_filtration() == [1, 2, 2, 2, 1]
 
 
 def test_sklyanin_family_table():
-    alg = sklyanin_e(0, 0, 0)
+    alg = sklyanin_algebra(0, 0, 0)
     assert socle_dim(alg) == 3
     assert not frobenius(alg).frobenius
-    alg = sklyanin_e(1, 1, 0)
+    alg = sklyanin_algebra(1, 1, 0)
     verdict = frobenius(alg)
     assert verdict.frobenius and verdict.symmetric
-    alg = sklyanin_e(1, 1, 1)
+    alg = sklyanin_algebra(1, 1, 1)
     assert socle_dim(alg) == 2
     assert not frobenius(alg).frobenius
 
@@ -134,38 +130,39 @@ def test_sklyanin_grid():
     for lam in range(-2, 3):
         for mu in range(-2, 3):
             for nu in range(-2, 3):
-                verdict = frobenius(sklyanin_e(lam, mu, nu))
+                verdict = frobenius(sklyanin_algebra(lam, mu, nu))
                 assert verdict.frobenius == (lam * mu - nu * nu != 0), (lam, mu, nu)
+
+
+def _random_basis_change(rng):
+    """(p, p^-1): a random invertible 4 x 4 integer matrix and its inverse,
+    as lists of rows."""
+    while True:
+        p = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(4)]
+        inv = ref_inverse(p)
+        if inv is not None:
+            return p, inv
 
 
 def test_frobenius_invariant_under_basis_change():
     rng = random.Random(53)
-    base = sklyanin_e(1, 2, 1)
+    base = sklyanin_algebra(1, 2, 1)
     expected = frobenius(base).frobenius
     for _ in range(5):
-        while True:
-            p = Mat([[rng.randint(-2, 2) for _ in range(4)] for _ in range(4)])
-            if p.rank() == 4:
-                break
-        inv = p.inverse()
         # Conjugated structure constants: new basis b'_i = sum p[i][j] b_j.
-        conjugated, _ = _change(base, p, inv)
+        conjugated = _change(base, *_random_basis_change(rng))
         assert frobenius(conjugated).frobenius == expected
 
 
 def _change(alg, p, inv):
+    """The algebra on the basis b'_i = sum_j p[i][j] b_j: the coordinates
+    of x in it are x times p^-1."""
     dim = alg.dim
-    basis = [tuple(p[i, j] for j in range(dim)) for i in range(dim)]
-    structure = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            prod = alg.multiply(basis[i], basis[j])
-            coords = inv.T.apply(prod)
-            row.append(tuple(coords))
-        structure.append(row)
-    unit_coords = inv.T.apply(alg.unit)
-    return FinAlg(dim, unit_coords, structure), basis
+
+    def coords(x):
+        return tuple(sum(x[j] * inv[j][k] for j in range(dim)) for k in range(dim))
+
+    return FinAlg(dim, coords(alg.unit), [[coords(alg.multiply(bi, bj)) for bj in p] for bi in p])
 
 
 def test_socle_unsupported_for_nonlocal():
@@ -188,7 +185,7 @@ def test_recognize_truncated_examples():
     alg = ext_algebra(published_resolution("M5"))
     assert alg.dim == 4
     assert recognize_truncated(alg) is None
-    assert radical_filtration(alg) == [1, 2, 1]
+    assert alg.radical_filtration() == [1, 2, 1]
 
 
 def test_published_m2_commutant_is_not_frobenius():
@@ -209,7 +206,7 @@ def test_recognition_implies_chain_filtration():
         alg = FinAlg(*truncated_poly(m))
         assert recognize_truncated(alg) == m
         assert socle_dim(alg) == 1
-        assert radical_filtration(alg) == [1] * m
+        assert alg.radical_filtration() == [1] * m
 
 
 def test_flat_roundtrip():
@@ -230,13 +227,9 @@ def _reference_algebras(subcase_resolutions, representative_resolutions):
         yield "k[x]/(x^%d)" % m, FinAlg(*truncated_poly(m))
     rng = random.Random(61)
     for params in ((0, 0, 0), (1, 1, 0), (1, 1, 1), (1, 2, 1), (2, -1, 3)):
-        base = sklyanin_e(*params)
+        base = sklyanin_algebra(*params)
         yield "sklyanin%s" % (params,), base
-        while True:
-            p = Mat([[rng.randint(-2, 2) for _ in range(4)] for _ in range(4)])
-            if p.rank() == 4:
-                break
-        yield "sklyanin%s changed" % (params,), _change(base, p, p.inverse())[0]
+        yield "sklyanin%s changed" % (params,), _change(base, *_random_basis_change(rng))
     for key, data in subcase_resolutions.items():
         if key != "_elapsed":
             yield "ext " + key, data["ext"]
@@ -272,7 +265,7 @@ def test_radical_series_matches_reference(subcase_resolutions, representative_re
         assert gram == ref_trace_gram(alg), name
         rad = ref_radical_basis(alg)
         assert list(alg.radical_powers[0]) == rad, name
-        assert radical_filtration(alg) == ref_radical_filtration(alg, rad), name
+        assert alg.radical_filtration() == ref_radical_filtration(alg, rad), name
         assert alg.is_local() == ref_is_local(alg, rad), name
         if alg.is_local():
             ref_socle = ref_socle_basis(alg, rad)

@@ -6,6 +6,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_linalg import ref_matmul
 from reference_qpl import ref_aut_group, ref_iso_solve
 
 from skewdg import qpl
@@ -234,9 +235,9 @@ def _sparse_matrix(rng, n, rank):
     so that many cells of M vanish and many permutations pass the zero
     pattern."""
     entries = [0, 0, 0, 1, -1, 2, 3, Q(1, 2), Q(-2, 3)]
-    left = Mat([[rng.choice(entries) for _ in range(rank)] for _ in range(n)])
-    right = Mat([[rng.choice(entries) for _ in range(n)] for _ in range(rank)])
-    return left * right if rank else Mat.zero(n, n)
+    left = [[rng.choice(entries) for _ in range(rank)] for _ in range(n)]
+    right = [[rng.choice(entries) for _ in range(n)] for _ in range(rank)]
+    return Mat(ref_matmul(left, right, n))
 
 
 def reference_pairs(rng, count):

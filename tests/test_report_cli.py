@@ -8,6 +8,7 @@ from collections import Counter
 
 import pytest
 
+import skewdg
 from skewdg import linalg, report, resolution
 from skewdg.classify import classify, theorem_c
 from skewdg.cli import main
@@ -30,6 +31,21 @@ def test_import_builds_no_tables():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.split() == ["0", "0", "0"]
+
+
+def test_public_surface():
+    # The package exports exactly these names, and each one resolves.  A name
+    # that leaves or joins the list is an API change, recorded in CHANGES.md.
+    assert sorted(skewdg.__all__) == [
+        "CaseLabel", "CohomologyReport", "DgSpec", "FinAlg", "FrobeniusVerdict",
+        "GradedPresentation", "InfinitePattern", "IsoResult", "Mat", "Q", "QplMatrix",
+        "SemifreeResolution", "SkewElement", "TheoremCVerdict", "UnsupportedCase", "analyze",
+        "aut_group", "build_resolution", "chi", "classify", "cup_kernel", "cy_probe",
+        "eilenberg_moore", "ext_algebra", "frobenius", "graded_basis", "is_quasi_permutation",
+        "iso_solve", "mono_mul", "normalize_word", "parse_element", "presentation_of",
+        "presented_dims", "recognize_truncated", "render_element", "socle_dim", "solve_linear",
+        "theorem_c", "verify_resolution"]
+    assert all(getattr(skewdg, name, None) is not None for name in skewdg.__all__)
 
 
 def write_matrix(tmp_path, name, rows, n=3):

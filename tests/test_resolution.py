@@ -13,13 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_finalg import ref_matrix_algebra
 from reference_linalg import ref_column_pivots, ref_rank
-from reference_resolution import (commutant_matrices, complex_map_rows, ref_complex_columns,
-                                  ref_eilenberg_moore, ref_h1_representatives,
-                                  ref_square_zero_failures, reference_resolution)
+from reference_resolution import (commutant_matrices, complex_map_rows, published_resolution,
+                                  ref_complex_columns, ref_eilenberg_moore,
+                                  ref_h1_representatives, ref_square_zero_failures,
+                                  reference_resolution)
 from skewdg import dg as dg_module
 from skewdg import resolution as resolution_module
 from skewdg.dg import DgSpec, InternalConsistencyError, complex_classes, complex_cohomology_dims
-from skewdg.finalg import FinAlg, frobenius, radical_filtration, recognize_truncated, socle_dim
+from skewdg.finalg import FinAlg, frobenius, recognize_truncated, socle_dim
 from skewdg.linalg import Mat
 from skewdg.qpl import QplMatrix, chi, iso_solve
 from skewdg.resolution import (
@@ -29,8 +30,6 @@ from skewdg.resolution import (
     build_resolution,
     eilenberg_moore,
     ext_algebra,
-    published_resolution,
-    resolution_from_dict,
     verify_resolution,
 )
 from skewdg.skew import SkewElement, graded_basis
@@ -440,7 +439,7 @@ def test_representative_resolutions(representative_resolutions):
 def test_m1_filtration_matches_two_generator_structure(representative_resolutions):
     ext = representative_resolutions["M1"]["ext"]
     assert ext.dim == 8
-    assert radical_filtration(ext) == [1, 2, 2, 2, 1]
+    assert ext.radical_filtration() == [1, 2, 2, 2, 1]
     assert recognize_truncated(ext) is None  # two radical generators
 
 
@@ -522,10 +521,3 @@ def test_resolution_orbit_invariance(subcase_resolutions, representative_resolut
             assert check.passed, (name, image, check.failures)
             assert res.size == size, (name, image)
             assert ext_algebra(res).dim == ext_dim, (name, image)
-
-
-def test_serialization_roundtrip():
-    for entry in ([[1, 1, 1], [1, 1, 1], [1, 1, 1]], [[1, 0, 1], [0, 1, 0], [1, 0, 1]],
-                  [[0, 1, 0], [0, 0, 0], [0, 0, 0]]):
-        data = build_resolution(Mat(entry)).as_dict()
-        assert resolution_from_dict(data).as_dict() == data
